@@ -105,13 +105,15 @@ func resumeGoldenOf(r *scamv.Result) resumeGolden {
 
 // crashCampaign is the shared campaign under test: small enough for CI,
 // with the acceptance features on — platform matrix, portfolio solving, and
-// the campaign shape cache — on either engine. Large enough in programs
-// that a drain or kill lands while the staged pipeline still has unproduced
-// programs (the pipeline absorbs ~4 stages × 4 buffered items in flight).
+// the campaign shape cache — on either engine. One program larger than the
+// staged pipeline's in-flight capacity (scamv.StageCapacity: 35 programs at
+// Parallel 4), so a drain or kill lands while the staged engine still has
+// unproduced programs.
 func crashCampaign(monolithic bool) scamv.Experiment {
 	u, _ := scamv.MPartExperiments(false, 24, 5, 2021)
 	u.Repeats = 2
 	u.Parallel = 4
+	u.Programs = scamv.StageCapacity(&u) + 1
 	u.Monolithic = monolithic
 	u.Portfolio = 2
 	u.SharedCache = true
@@ -421,10 +423,10 @@ func TestCrashSIGKILLChaos(t *testing.T) {
 			completed := false
 			for attempt := 0; attempt < len(delays)+1 && !completed; attempt++ {
 				cmd := crashChildCmd(dir, tc.mono, false)
-				if err := cmd.Start(); err != nil {
-					t.Fatal(err)
-				}
 				if attempt < len(delays) {
+					if err := cmd.Start(); err != nil {
+						t.Fatal(err)
+					}
 					time.Sleep(delays[attempt])
 					_ = cmd.Process.Kill() // SIGKILL; may race a clean exit
 					code := exitCode(cmd.Wait())

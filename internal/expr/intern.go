@@ -14,11 +14,11 @@ import "strconv"
 // child interners (see NewChild), which is how the campaign shape cache
 // instantiates per-program solvers without copying the prototype's tables.
 type Interner struct {
-	memo  map[Expr]Expr   // any visited node -> canonical node
-	table map[string]Expr // structural key -> canonical node
-	ids   map[Expr]uint64 // canonical node -> dense id used in child keys
-	base  uint64          // id offset: total ids held by the parent chain
-	parent *Interner      // frozen fallback layer, read-only after NewChild
+	memo   map[Expr]Expr   // any visited node -> canonical node
+	table  map[string]Expr // structural key -> canonical node
+	ids    map[Expr]uint64 // canonical node -> dense id used in child keys
+	base   uint64          // id offset: total ids held by the parent chain
+	parent *Interner       // frozen fallback layer, read-only after NewChild
 }
 
 // NewInterner returns an empty interner.

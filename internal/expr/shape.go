@@ -96,10 +96,10 @@ func (c *canonizer) canon(e Expr) int {
 	return id
 }
 
-func (c *canonizer) node(id int) Expr     { return c.nodes[id] }
-func (c *canonizer) bv(id int) BVExpr     { return c.nodes[id].(BVExpr) }
+func (c *canonizer) node(id int) Expr      { return c.nodes[id] }
+func (c *canonizer) bv(id int) BVExpr      { return c.nodes[id].(BVExpr) }
 func (c *canonizer) boolx(id int) BoolExpr { return c.nodes[id].(BoolExpr) }
-func (c *canonizer) mem(id int) MemExpr   { return c.nodes[id].(MemExpr) }
+func (c *canonizer) mem(id int) MemExpr    { return c.nodes[id].(MemExpr) }
 
 func def1(tag string, args ...int) string {
 	var sb strings.Builder

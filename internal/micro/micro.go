@@ -25,11 +25,12 @@ package micro
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 
 	"scamv/internal/arm"
 	"scamv/internal/expr"
+	"scamv/internal/lazyrand"
 )
 
 // Replacement selects the cache replacement policy.
@@ -254,7 +255,7 @@ func NewCache(cfg Config) *Cache {
 	case RoundRobin:
 		c.rr = make([]int, cfg.Sets)
 	case PseudoRandom:
-		c.rng = rand.New(rand.NewSource(cfg.ReplacementSeed))
+		c.rng = lazyrand.New(cfg.ReplacementSeed)
 	case TreePLRU:
 		c.plru = make([]plruTree, cfg.Sets)
 		for i := range c.plru {
@@ -262,6 +263,18 @@ func NewCache(cfg Config) *Cache {
 		}
 	}
 	return c
+}
+
+// reset restores the state NewCache builds, keeping the storage: every line
+// invalid, the clock and round-robin pointers at zero, the tree-PLRU bits
+// cleared, and the pseudo-random stream reseeded.
+func (c *Cache) reset() {
+	c.FlushAll()
+	c.clock = 0
+	clear(c.rr)
+	if c.rng != nil {
+		c.rng.Seed(c.cfg.ReplacementSeed)
+	}
 }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
@@ -330,13 +343,11 @@ func (c *Cache) Flush(addr uint64) {
 // FlushAll empties the cache and clears the tree-PLRU direction bits (the
 // cold state the platform module restores before every measured run).
 func (c *Cache) FlushAll() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = cline{}
-		}
+	for _, lines := range c.sets {
+		clear(lines)
 	}
-	for i := range c.plru {
-		c.plru[i] = newPLRUTree(c.cfg.Ways)
+	for _, t := range c.plru {
+		clear(t.bits)
 	}
 }
 
@@ -384,7 +395,7 @@ func (c *Cache) Snapshot(v View) *Snapshot {
 			}
 		}
 		if len(tags) > 0 {
-			sort.Slice(tags, func(a, b int) bool { return tags[a] < tags[b] })
+			slices.Sort(tags)
 			s.Sets[i] = tags
 		}
 	}
@@ -486,7 +497,7 @@ type BranchPredictor struct {
 func NewBranchPredictor() *BranchPredictor { return &BranchPredictor{pht: make(map[int]uint8)} }
 
 // Reset clears the table.
-func (b *BranchPredictor) Reset() { b.pht = make(map[int]uint8) }
+func (b *BranchPredictor) Reset() { clear(b.pht) }
 
 // Predict returns the predicted direction for the branch at pc.
 func (b *BranchPredictor) Predict(pc int) bool { return ctrTaken(b.pht[pc]) }
@@ -538,6 +549,22 @@ func New(cfg Config) *Machine {
 	}
 }
 
+// Reset restores exactly the state New builds — cold cache, prefetcher and
+// predictor, empty memory, zero registers and counters, no trace attached —
+// while keeping the machine's storage, so a pooled machine can stand in for
+// a fresh one.
+func (m *Machine) Reset() {
+	m.Regs = [arm.NumRegs]uint64{}
+	clear(m.mem)
+	m.memDf = 0
+	m.Cache.reset()
+	m.PF.Reset()
+	m.BP.Reset()
+	m.Cycles, m.TransientLoads, m.Mispredicts = 0, 0, 0
+	m.ccA, m.ccB = 0, 0
+	m.trace, m.curPC, m.inSpec = nil, 0, false
+}
+
 // LoadState installs the architectural state of a test case: register
 // values by name ("x0".."x30") and the initial memory image.
 func (m *Machine) LoadState(regs map[string]uint64, mem *expr.MemModel) error {
@@ -552,7 +579,7 @@ func (m *Machine) LoadState(regs map[string]uint64, mem *expr.MemModel) error {
 		}
 		m.Regs[n] = v
 	}
-	m.mem = make(map[uint64]uint64, len(mem.Data))
+	clear(m.mem)
 	m.memDf = 0
 	if mem != nil {
 		m.memDf = mem.Default

@@ -527,3 +527,26 @@ func TestReplacementString(t *testing.T) {
 		t.Error("replacement names")
 	}
 }
+
+// TestLoadStateNilMemory: a nil memory image installs registers and an
+// empty, zero-default memory — also over a previously loaded image.
+func TestLoadStateNilMemory(t *testing.T) {
+	m := newM()
+	mem := expr.NewMemModel(5)
+	mem.Set(0x100, 9)
+	if err := m.LoadState(nil, mem); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadState(map[string]uint64{"x3": 42}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if m.Regs[3] != 42 {
+		t.Errorf("x3 = %d, want 42", m.Regs[3])
+	}
+	if got := m.ReadMem(0x100); got != 0 {
+		t.Errorf("memory survived a nil image: ReadMem(0x100) = %d", got)
+	}
+	if got := len(m.MemSnapshot().Data); got != 0 {
+		t.Errorf("nil image left %d memory words", got)
+	}
+}

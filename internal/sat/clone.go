@@ -2,7 +2,8 @@ package sat
 
 import (
 	"hash/fnv"
-	"math/rand"
+
+	"scamv/internal/lazyrand"
 )
 
 // Clone returns an independent deep copy of the solver: same clause
@@ -35,7 +36,7 @@ func (s *Solver) Clone(seed int64) *Solver {
 		DefaultPhase:    s.DefaultPhase,
 		RandomPhaseProb: s.RandomPhaseProb,
 		RandomVarProb:   s.RandomVarProb,
-		rng:             rand.New(rand.NewSource(seed)),
+		rng:             lazyrand.New(seed),
 		varDecay:        s.varDecay,
 		restartBase:     s.restartBase,
 		restartGeom:     s.restartGeom,
@@ -72,7 +73,7 @@ func (s *Solver) applyConfig(cfg Config) {
 	s.varDecay = cfg.VarDecay
 	s.restartBase = cfg.RestartBase
 	s.restartGeom = cfg.RestartGeometric
-	s.rng = rand.New(rand.NewSource(cfg.Seed))
+	s.rng = lazyrand.New(cfg.Seed)
 }
 
 // mark captures the extent of the clause database and trail so restore can

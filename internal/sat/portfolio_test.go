@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -420,5 +421,42 @@ func TestCNFHashDiscriminates(t *testing.T) {
 	b.AddClause(MkLit(0, false), MkLit(1, false))
 	if a.CNFHash() == b.CNFHash() {
 		t.Fatal("hash blind to an added clause")
+	}
+}
+
+// TestRestoreIndependentOfSearchProgress: restore must leave the same state
+// whether the previous Solve searched or was cancelled before it began, so a
+// portfolio worker 0 pre-empted by a helper's instant Unsat answers the next
+// query exactly like a lone solver.
+func TestRestoreIndependentOfSearchProgress(t *testing.T) {
+	cls := randomCNF3(10, 30, 100)
+	build := func() (*Solver, mark) {
+		s := New(10)
+		addAll(s, 30, cls)
+		return s, s.snapshot()
+	}
+	ran, m1 := build()
+	ran.Solve()
+	ran.restore(m1)
+
+	cut, m2 := build()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cut.SetContext(ctx)
+	if st := cut.Solve(); st != Unknown {
+		t.Fatalf("cancelled Solve = %v, want Unknown", st)
+	}
+	cut.SetContext(nil)
+	cut.restore(m2)
+
+	if !slices.Equal(ran.arena, cut.arena) || !slices.EqualFunc(ran.watches, cut.watches, slices.Equal[[]cref]) {
+		t.Fatal("clause/watch state after restore depends on how far the previous search ran")
+	}
+	as := []Lit{MkLit(1, false), MkLit(8, true)}
+	ran.ResetSearch(11)
+	cut.ResetSearch(11)
+	st1, st2 := ran.Solve(as...), cut.Solve(as...)
+	if st1 != st2 || st1 == Sat && !reflect.DeepEqual(ran.Model(), cut.Model()) {
+		t.Fatalf("next query diverges: %v vs %v", st1, st2)
 	}
 }

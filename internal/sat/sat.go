@@ -23,6 +23,8 @@ package sat
 import (
 	"context"
 	"math/rand"
+
+	"scamv/internal/lazyrand"
 )
 
 // Lit is a literal: variable index shifted left once, low bit set when the
@@ -147,6 +149,7 @@ type Solver struct {
 	// Scratch buffers reused across conflicts; their contents never survive
 	// a call.
 	addTmp    []Lit
+	addMark   []int8 // per variable: sign of the literal already in addTmp, 0 if none
 	learntTmp []Lit
 	seenTmp   []int
 
@@ -217,7 +220,7 @@ func New(seed int64) *Solver {
 // NewWithConfig returns an empty solver with the given search configuration.
 func NewWithConfig(cfg Config) *Solver {
 	cfg = cfg.withDefaults()
-	s := &Solver{varInc: 1, rng: rand.New(rand.NewSource(cfg.Seed))}
+	s := &Solver{varInc: 1, rng: lazyrand.New(cfg.Seed)}
 	s.heap = newVarHeap(&s.activity)
 	s.DefaultPhase = cfg.DefaultPhase
 	s.RandomPhaseProb = cfg.RandomPhaseProb
@@ -283,35 +286,46 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return false
 	}
 	s.cancelUntil(0)
-	// Normalize: sort-free dedup, drop false lits, detect tautology.
+	// Normalize: sort-free dedup in first-occurrence order, drop false
+	// lits, detect tautology. addMark records the sign each kept variable
+	// appears with, making the scan linear in the clause length; it is
+	// all-zero again before every return.
+	if n := s.NumVars(); len(s.addMark) < n {
+		s.addMark = append(s.addMark, make([]int8, n-len(s.addMark))...)
+	}
 	out := s.addTmp[:0]
+	done := func() {
+		for _, o := range out {
+			s.addMark[o.Var()] = 0
+		}
+		s.addTmp = out[:0]
+	}
 	for _, l := range lits {
 		if l.Var() >= s.NumVars() {
+			done()
 			panic("sat: literal references unallocated variable")
 		}
 		switch s.litValue(l) {
 		case 1:
-			s.addTmp = out
+			done()
 			return true // satisfied at level 0
 		case -1:
 			continue // falsified at level 0: drop
 		}
-		dup := false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == l.Neg() {
-				s.addTmp = out
-				return true // tautology
-			}
+		sign := int8(1)
+		if l.Sign() {
+			sign = -1
 		}
-		if !dup {
+		switch s.addMark[l.Var()] {
+		case 0:
+			s.addMark[l.Var()] = sign
 			out = append(out, l)
+		case -sign:
+			done()
+			return true // tautology
 		}
 	}
-	s.addTmp = out[:0]
+	done()
 	switch len(out) {
 	case 0:
 		s.unsat = true
@@ -498,7 +512,7 @@ func (s *Solver) BoostVar(v int, amount float64) {
 // the same CNF would, instead of inheriting the previous query's phases.
 func (s *Solver) ResetSearch(seed int64) {
 	s.cancelUntil(0)
-	s.rng = rand.New(rand.NewSource(seed))
+	s.rng.Seed(seed) // a lazyrand stream: reseeding is cheap and stream-identical
 	s.varInc = 1
 	for v := range s.assigns {
 		s.phase[v] = 0
@@ -603,6 +617,12 @@ func (s *Solver) restartBudget(r int64) int64 {
 // including the assumption literals — is readable through Value and Model
 // until the next Solve or AddClause call.
 func (s *Solver) Solve(assumptions ...Lit) Status {
+	// Every Solve, however early it returns, leaves the watch state for
+	// restore to re-canonicalize. A portfolio worker 0 cancelled by a
+	// helper's instant Unsat before it propagates would otherwise keep its
+	// as-added clause order while a lone solver's is canonicalized, and the
+	// two would search the next query differently.
+	s.dirty = true
 	if s.unsat {
 		return Unsat
 	}

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -285,5 +286,50 @@ func TestMaxConflicts(t *testing.T) {
 	}
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("expected unknown under conflict budget, got %v", got)
+	}
+}
+
+// TestAddClauseNormalization pins AddClause's clause normalization: later
+// duplicates dropped in first-occurrence order, level-0-false literals
+// dropped, tautologies and level-0-satisfied clauses discarded — and no
+// clause's bookkeeping leaking into the next AddClause.
+func TestAddClauseNormalization(t *testing.T) {
+	s := New(1)
+	var v [6]Lit
+	for i := range v {
+		v[i] = MkLit(s.NewVar(), false)
+	}
+	a, b, c, x, y, z := v[0], v[1], v[2], v[3], v[4], v[5]
+	s.AddClause(x)       // x true at level 0
+	s.AddClause(y.Neg()) // y false at level 0
+	last := func() []Lit {
+		return append([]Lit(nil), s.clauseLits(cref(s.NumClauses()-1))...)
+	}
+	cases := []struct {
+		name string
+		add  []Lit
+		want []Lit // nil: no clause stored
+	}{
+		{"duplicates", []Lit{b, a, b, c, a, b}, []Lit{b, a, c}},
+		{"tautology", []Lit{a, b, c, a.Neg()}, nil},
+		{"after tautology", []Lit{a.Neg(), c}, []Lit{a.Neg(), c}},
+		{"satisfied", []Lit{b, c.Neg(), x}, nil},
+		{"after satisfied", []Lit{c, b.Neg()}, []Lit{c, b.Neg()}},
+		{"false literal", []Lit{y, z, a, y, z.Neg()}, nil},
+		{"after false", []Lit{y, z.Neg(), a.Neg(), z.Neg()}, []Lit{z.Neg(), a.Neg()}},
+	}
+	for _, tc := range cases {
+		before := s.NumClauses()
+		if !s.AddClause(tc.add...) {
+			t.Fatalf("%s: AddClause reported unsat", tc.name)
+		}
+		switch {
+		case tc.want == nil && s.NumClauses() != before:
+			t.Errorf("%s: stored %v, want no clause", tc.name, last())
+		case tc.want != nil && s.NumClauses() != before+1:
+			t.Errorf("%s: stored no clause, want %v", tc.name, tc.want)
+		case tc.want != nil && !slices.Equal(last(), tc.want):
+			t.Errorf("%s: stored %v, want %v", tc.name, last(), tc.want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"scamv/internal/arm"
 	"scamv/internal/core"
+	"scamv/internal/lazyrand"
 	"scamv/internal/resilient"
 	"scamv/internal/telemetry"
 )
@@ -99,7 +100,7 @@ func (pl *Pipeline) executeOnce(ctx context.Context, e *Experiment, p, t, rep, s
 		func(actx context.Context) (Measurement, error) {
 			var noise *rand.Rand
 			if e.Micro.NoiseProb > 0 {
-				noise = rand.New(rand.NewSource(nseed))
+				noise = lazyrand.New(nseed)
 			}
 			return e.platform().Execute(actx, e, pl.Prog, st, train, noise)
 		})

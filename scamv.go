@@ -510,13 +510,37 @@ type Platform interface {
 // SimPlatform runs experiments on the internal/micro simulator.
 type SimPlatform struct{}
 
+// machinePools keeps one pool of simulated machines per core configuration.
+// Execution is the innermost loop of a campaign (Repeats × 2 runs per test
+// case, per platform), and building a machine allocates its whole cache;
+// a pooled machine is Reset to exactly the state micro.New builds instead.
+var (
+	machinePoolsMu sync.Mutex
+	machinePools   = map[micro.Config]*sync.Pool{}
+)
+
+// machinePool returns the machine pool for cfg, creating it on first use.
+func machinePool(cfg micro.Config) *sync.Pool {
+	machinePoolsMu.Lock()
+	defer machinePoolsMu.Unlock()
+	p := machinePools[cfg]
+	if p == nil {
+		p = &sync.Pool{New: func() any { return micro.New(cfg) }}
+		machinePools[cfg] = p
+	}
+	return p
+}
+
 // Execute implements Platform. The simulator never blocks, so ctx is only
 // honored between runs.
 func (SimPlatform) Execute(ctx context.Context, e *Experiment, prog *arm.Program, st, train *core.State, noise *rand.Rand) (Measurement, error) {
 	if err := ctx.Err(); err != nil {
 		return Measurement{}, err
 	}
-	m := micro.New(e.Micro)
+	pool := machinePool(e.Micro)
+	m := pool.Get().(*micro.Machine)
+	defer pool.Put(m)
+	m.Reset()
 	if e.Speculative && train != nil {
 		for i := 0; i < e.TrainRuns; i++ {
 			if err := m.LoadState(train.Regs, train.Mem); err != nil {

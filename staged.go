@@ -61,6 +61,17 @@ func stageWorkers(e *Experiment) (heavy, light, buf int) {
 	return heavy, light, heavy
 }
 
+// stageCapacity is the most programs the staged engine can hold past
+// ProgramGen at once: one generated but not yet sent, the Source buffer,
+// and the workers plus output buffer of each stage runStaged attaches
+// (encode on the light pool; prepare, testgen and execute on the heavy
+// one). A drain only stops production, so a campaign no larger than this
+// may be fully generated before a drain can take effect.
+func stageCapacity(e *Experiment) int {
+	heavy, light, buf := stageWorkers(e)
+	return 1 + buf + (light + buf) + 3*(heavy+buf)
+}
+
 // runStaged executes the campaign on the staged engine.
 func runStaged(ctx context.Context, e *Experiment, res *Result, start time.Time) error {
 	heavy, light, buf := stageWorkers(e)
