@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci build vet test race chaos-smoke fuzz-smoke portfolio-smoke matrix-smoke obs-smoke crash-smoke bench-gen bench-campaign bench-telemetry bench-portfolio bench-matrix bench-obs bench-resume bench
+.PHONY: ci build vet test race chaos-smoke fuzz-smoke portfolio-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-gen bench-campaign bench-telemetry bench-portfolio bench-matrix bench-obs bench-resume bench
 
-ci: build vet race portfolio-smoke matrix-smoke obs-smoke crash-smoke bench-gen
+ci: build vet race portfolio-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-gen
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,14 @@ obs-smoke:
 crash-smoke:
 	$(GO) test -race -count=1 ./internal/journal
 	$(GO) test -count=1 -run 'TestResume|TestDrain|TestCrash|TestGraceful|TestSecondSignal' .
+
+# Package microbenchmarks at one iteration each, so they keep compiling and
+# running: pair-solver construction (BenchmarkBlastPairRelation) and the
+# per-query loop (BenchmarkPairQuery) in internal/core, plus any other
+# internal package benchmark. Timings here are not gated; run them with a
+# real -benchtime (and -count) to compare.
+bench-micro:
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/...
 
 # Matrix-campaign benchmark: runs the K=3 platform matrix against three
 # sequential single-platform campaigns and writes BENCH_matrix.json (wall

@@ -37,6 +37,15 @@ type Blaster struct {
 	// blaster's own maps.
 	parent *Blaster
 
+	// dead is set once a clause addition reports the formula unsatisfiable
+	// at decision level 0. That verdict is final, so Assert and
+	// AssertImplied stop encoding into the solver from then on.
+	dead bool
+	// cls holds the clause being added. Passing a slice of it through the
+	// Engine interface costs nothing, where a variadic argument list would
+	// escape to the heap on every gate clause.
+	cls [3]sat.Lit
+
 	stats CacheStats
 }
 
@@ -71,7 +80,7 @@ func New(s sat.Engine) *Blaster {
 	}
 	b.t = b.newLit()
 	b.f = b.t.Neg()
-	s.AddClause(b.t)
+	b.clause1(b.t)
 	return b
 }
 
@@ -97,6 +106,7 @@ func (b *Blaster) CloneOnto(eng sat.Engine) *Blaster {
 		varBits:   make(map[string][]sat.Lit, len(b.varBits)),
 		boolVars:  make(map[string]sat.Lit, len(b.boolVars)),
 		parent:    b,
+		dead:      b.dead,
 	}
 	// Variable registries are small (one entry per named variable) and are
 	// consulted on hot read paths; copy them flat. The bit slices themselves
@@ -125,6 +135,28 @@ func (b *Blaster) constLit(v bool) sat.Lit {
 	return b.f
 }
 
+// add hands the first n literals of b.cls to the solver as one clause.
+func (b *Blaster) add(n int) {
+	if !b.S.AddClause(b.cls[:n]...) {
+		b.dead = true
+	}
+}
+
+func (b *Blaster) clause1(x sat.Lit) {
+	b.cls[0] = x
+	b.add(1)
+}
+
+func (b *Blaster) clause2(x, y sat.Lit) {
+	b.cls[0], b.cls[1] = x, y
+	b.add(2)
+}
+
+func (b *Blaster) clause3(x, y, z sat.Lit) {
+	b.cls[0], b.cls[1], b.cls[2] = x, y, z
+	b.add(3)
+}
+
 func (b *Blaster) isTrue(l sat.Lit) bool  { return l == b.t }
 func (b *Blaster) isFalse(l sat.Lit) bool { return l == b.f }
 
@@ -142,9 +174,9 @@ func (b *Blaster) and2(x, y sat.Lit) sat.Lit {
 		return x
 	}
 	c := b.newLit()
-	b.S.AddClause(c.Neg(), x)
-	b.S.AddClause(c.Neg(), y)
-	b.S.AddClause(c, x.Neg(), y.Neg())
+	b.clause2(c.Neg(), x)
+	b.clause2(c.Neg(), y)
+	b.clause3(c, x.Neg(), y.Neg())
 	return c
 }
 
@@ -168,10 +200,10 @@ func (b *Blaster) xor2(x, y sat.Lit) sat.Lit {
 		return b.t
 	}
 	c := b.newLit()
-	b.S.AddClause(c.Neg(), x, y)
-	b.S.AddClause(c.Neg(), x.Neg(), y.Neg())
-	b.S.AddClause(c, x, y.Neg())
-	b.S.AddClause(c, x.Neg(), y)
+	b.clause3(c.Neg(), x, y)
+	b.clause3(c.Neg(), x.Neg(), y.Neg())
+	b.clause3(c, x, y.Neg())
+	b.clause3(c, x.Neg(), y)
 	return c
 }
 
@@ -198,10 +230,10 @@ func (b *Blaster) mux(sel, x, y sat.Lit) sat.Lit {
 		return b.and2(sel, x)
 	}
 	c := b.newLit()
-	b.S.AddClause(c.Neg(), sel.Neg(), x)
-	b.S.AddClause(c, sel.Neg(), x.Neg())
-	b.S.AddClause(c.Neg(), sel, y)
-	b.S.AddClause(c, sel, y.Neg())
+	b.clause3(c.Neg(), sel.Neg(), x)
+	b.clause3(c, sel.Neg(), x.Neg())
+	b.clause3(c.Neg(), sel, y)
+	b.clause3(c, sel, y.Neg())
 	return c
 }
 
@@ -585,27 +617,35 @@ func (b *Blaster) BoolVarValue(name string) bool {
 }
 
 // Assert constrains e to be true. Top-level conjunctions are split to keep
-// the CNF small.
+// the CNF small. Once the solver is unsat at level 0 nothing more is
+// encoded: the verdict cannot change, and the clauses would only cost time.
 func (b *Blaster) Assert(e expr.BoolExpr) {
+	if b.dead {
+		return
+	}
 	if n, ok := e.(*expr.Nary); ok && n.Op == expr.OpAndB {
 		for _, a := range n.Args {
 			b.Assert(a)
 		}
 		return
 	}
-	b.S.AddClause(b.Bool(e))
+	b.clause1(b.Bool(e))
 }
 
 // AssertImplied constrains act ⇒ e: each top-level conjunct of e becomes a
 // clause guarded by the negated activation literal, so the constraint is
 // active only while act is assumed (or asserted) true. This is the CNF
-// backbone of assumption-scoped assertions in internal/smt.
+// backbone of assumption-scoped assertions in internal/smt. Like Assert, it
+// encodes nothing into a solver that is unsat at level 0.
 func (b *Blaster) AssertImplied(act sat.Lit, e expr.BoolExpr) {
+	if b.dead {
+		return
+	}
 	if n, ok := e.(*expr.Nary); ok && n.Op == expr.OpAndB {
 		for _, a := range n.Args {
 			b.AssertImplied(act, a)
 		}
 		return
 	}
-	b.S.AddClause(act.Neg(), b.Bool(e))
+	b.clause2(act.Neg(), b.Bool(e))
 }

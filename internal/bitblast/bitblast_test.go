@@ -38,6 +38,15 @@ func TestUnsatDetected(t *testing.T) {
 	b := New(s)
 	b.Assert(expr.Eq(x, expr.NewConst(1, 8)))
 	b.Assert(expr.Eq(x, expr.NewConst(2, 8)))
+	// The solver is unsat at level 0 now: later assertions encode nothing.
+	vars, clauses := s.NumVars(), s.NumClauses()
+	y := expr.NewVar("y", 8)
+	b.Assert(expr.Ult(expr.Mul(x, y), expr.NewConst(9, 8)))
+	b.AssertImplied(sat.MkLit(0, false), expr.Eq(y, expr.NewConst(3, 8)))
+	if s.NumVars() != vars || s.NumClauses() != clauses {
+		t.Fatalf("asserting into an unsat solver grew it from %d vars / %d clauses to %d / %d",
+			vars, clauses, s.NumVars(), s.NumClauses())
+	}
 	if s.Solve() != sat.Unsat {
 		t.Fatal("expected unsat")
 	}

@@ -16,7 +16,7 @@ import (
 
 // pathsFor lifts and instruments a template program and returns its
 // symbolic paths plus the architectural register list.
-func pathsFor(t *testing.T, m obs.ModelPair, seed int64, tpl gen.Template) ([]*symexec.Path, []string) {
+func pathsFor(t testing.TB, m obs.ModelPair, seed int64, tpl gen.Template) ([]*symexec.Path, []string) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	p := tpl.Generate(r, 0)

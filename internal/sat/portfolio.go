@@ -275,6 +275,10 @@ func (p *Portfolio) NumVars() int { return p.workers[0].NumVars() }
 // NumClauses returns the canonical worker's stored clause count.
 func (p *Portfolio) NumClauses() int { return p.workers[0].NumClauses() }
 
+// CNFHash returns the canonical worker's clause-database hash (see
+// Solver.CNFHash); every worker holds the same problem clauses.
+func (p *Portfolio) CNFHash() uint64 { return p.workers[0].CNFHash() }
+
 // AddClause adds the clause to every worker. Workers are first rewound to
 // their base state so clause normalization (which consults the level-0
 // assignment) sees identical state in every worker — and so the result is

@@ -89,6 +89,10 @@ type Solver struct {
 	// referenced (or introduced by read elimination) while asserting one
 	// scoped formula; AssertScoped stores them in the returned Handle.
 	capture map[string]bool
+
+	// lits is scratch for the assumption list of CheckUnder and the
+	// blocking clause of BlockVars*, reused across queries.
+	lits []sat.Lit
 }
 
 // Handle identifies one assumption-scoped assertion: pass it to CheckUnder
@@ -177,12 +181,13 @@ func (s *Solver) rnOut(name string) string {
 // With no handles it is equivalent to Check. On Sat, the model (read via
 // Model) satisfies every active scoped formula plus all plain assertions.
 func (s *Solver) CheckUnder(handles ...Handle) sat.Status {
-	assumptions := make([]sat.Lit, 0, len(handles))
+	assumptions := s.lits[:0]
 	for _, h := range handles {
 		if h.valid {
 			assumptions = append(assumptions, h.act)
 		}
 	}
+	s.lits = assumptions
 	return s.sat.Solve(assumptions...)
 }
 
@@ -377,6 +382,17 @@ func (s *Solver) readBase(m expr.MemExpr, addr expr.BVExpr) expr.BVExpr {
 	panic(fmt.Sprintf("smt: readBase on %T", m))
 }
 
+// CNFIdentity reports the backend's variable count, stored clause count and
+// clause-database hash (sat.Solver.CNFHash). Tests pin these to prove that
+// an encoding change leaves the CNF it produces untouched.
+func (s *Solver) CNFIdentity() (vars, clauses int, hash uint64) {
+	e := s.sat.(interface {
+		NumClauses() int
+		CNFHash() uint64
+	})
+	return s.sat.NumVars(), e.NumClauses(), e.CNFHash()
+}
+
 // Check runs the SAT search.
 func (s *Solver) Check() sat.Status { return s.sat.Solve() }
 
@@ -525,31 +541,7 @@ func (s *Solver) ReadVarNames(mem string) []string {
 // differs in at least one of them. Names without encoded bits are skipped.
 // It returns false if nothing could be blocked (no named variable encoded).
 func (s *Solver) BlockVars(names []string) bool {
-	var clause []sat.Lit
-	for _, name := range names {
-		name = s.rnIn(name)
-		if !s.bl.HasVar(name) {
-			continue
-		}
-		w := s.bvVars[name]
-		if w == 0 {
-			w = 64
-		}
-		val := s.bl.VarValue(name)
-		bits := s.bl.VarBits(name, w)
-		for i, l := range bits {
-			if val>>uint(i)&1 == 1 {
-				clause = append(clause, l.Neg())
-			} else {
-				clause = append(clause, l)
-			}
-		}
-	}
-	if len(clause) == 0 {
-		return false
-	}
-	s.sat.AddClause(clause...)
-	return true
+	return s.block(s.lits[:0], names)
 }
 
 // BlockVarsUnder is BlockVars restricted to the scope of h: the blocking
@@ -559,7 +551,13 @@ func (s *Solver) BlockVarsUnder(h Handle, names []string) bool {
 	if !h.valid {
 		return s.BlockVars(names)
 	}
-	clause := []sat.Lit{h.act.Neg()}
+	return s.block(append(s.lits[:0], h.act.Neg()), names)
+}
+
+// block appends, for each named variable, the literals its model value
+// falsifies to clause (which holds any scope guard) and adds the result.
+func (s *Solver) block(clause []sat.Lit, names []string) bool {
+	guard := len(clause)
 	for _, name := range names {
 		name = s.rnIn(name)
 		if !s.bl.HasVar(name) {
@@ -579,7 +577,8 @@ func (s *Solver) BlockVarsUnder(h Handle, names []string) bool {
 			}
 		}
 	}
-	if len(clause) == 1 {
+	s.lits = clause
+	if len(clause) == guard {
 		return false
 	}
 	s.sat.AddClause(clause...)
