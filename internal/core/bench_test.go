@@ -39,18 +39,29 @@ func BenchmarkBlastPairRelation(b *testing.B) {
 
 // BenchmarkPairQuery measures one enumeration step on a built pair solver:
 // ResetSearch, CheckUnder with a coverage scope active, and BlockVarsUnder
-// on the model found.
+// on the model found. Each blocking clause grows the solver, so the pair
+// solver is rebuilt, outside the timer, every queriesPerState queries: every
+// cycle repeats the same queries on the same clause databases, and the cost
+// per op does not drift with b.N.
 func BenchmarkPairQuery(b *testing.B) {
+	const queriesPerState = 8
 	g := benchGenerator(b)
 	k := g.keys[0]
-	st := g.newStream(k)
-	s := st.ps.solver
+	var st *stream
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ResetSearch(st.seed + int64(i)*65537)
+		q := i % queriesPerState
+		if q == 0 {
+			b.StopTimer()
+			g.pairs = make(map[pairKey]*pairState)
+			st = g.newStream(k)
+			b.StartTimer()
+		}
+		s := st.ps.solver
+		s.ResetSearch(st.seed + int64(q)*65537)
 		if s.CheckUnder(st.handle) != sat.Sat {
-			b.Fatalf("query %d: pair relation exhausted", i)
+			b.Fatalf("query %d: pair relation exhausted", q)
 		}
 		s.BlockVarsUnder(st.handle, st.names)
 	}

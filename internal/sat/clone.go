@@ -19,15 +19,8 @@ import (
 // The context is not carried over; call SetContext on the clone if needed.
 func (s *Solver) Clone(seed int64) *Solver {
 	c := &Solver{
-		arena: append([]Lit(nil), s.arena...),
-		heads: append([]clsHead(nil), s.heads...),
-		// Watch lists are windows into one arena, so copying the arena and
-		// the window table copies every list with its order intact:
-		// propagation visits watchers in list order, and the order decides
-		// which conflicts are found and which clauses are learnt.
-		watches:  append([]cref(nil), s.watches...),
-		wlist:    append([]watchList(nil), s.wlist...),
-		wasted:   s.wasted,
+		arena:    append([]Lit(nil), s.arena...),
+		heads:    append([]clsHead(nil), s.heads...),
 		assigns:  append([]int8(nil), s.assigns...),
 		level:    append([]int32(nil), s.level...),
 		reason:   append([]cref(nil), s.reason...),
@@ -37,7 +30,6 @@ func (s *Solver) Clone(seed int64) *Solver {
 		activity: append([]float64(nil), s.activity...),
 		varInc:   s.varInc,
 		seen:     make([]bool, len(s.seen)),
-		addMark:  make([]int8, len(s.addMark)),
 		phase:    append([]int8(nil), s.phase...),
 		baseAct:  append([]float64(nil), s.baseAct...),
 
@@ -53,12 +45,18 @@ func (s *Solver) Clone(seed int64) *Solver {
 		MaxConflicts:    s.MaxConflicts,
 		lastExport:      len(s.heads),
 	}
-	c.heap = varHeap{
-		act:    &c.activity,
-		heap:   append([]int32(nil), s.heap.heap...),
-		pos:    append([]int32(nil), s.heap.pos...),
-		queued: append([]int32(nil), s.heap.queued...),
+	// Watch lists must be copied per-list and in order: propagation visits
+	// watchers in list order, so the order determines which conflicts are
+	// found and which clauses are learnt.
+	c.watches = make([][]cref, len(s.watches))
+	for i, ws := range s.watches {
+		if len(ws) > 0 {
+			c.watches[i] = append([]cref(nil), ws...)
+		}
 	}
+	c.heap = newVarHeap(&c.activity)
+	c.heap.heap = append([]int32(nil), s.heap.heap...)
+	c.heap.pos = append([]int32(nil), s.heap.pos...)
 	return c
 }
 
@@ -155,15 +153,15 @@ func (s *Solver) restore(m mark) {
 // remaining literals could all be set false without a conflict being
 // detected.
 func (s *Solver) canonicalizeWatches() {
-	for i := range s.wlist {
-		s.wlist[i].n = 0
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
 	}
 	for ci := range s.heads {
 		cl := s.clauseLits(cref(ci))
 		sortLits(cl)
 		s.promoteWatchable(cl)
-		s.watch(cl[0].Neg(), cref(ci))
-		s.watch(cl[1].Neg(), cref(ci))
+		s.watches[cl[0].Neg()] = append(s.watches[cl[0].Neg()], cref(ci))
+		s.watches[cl[1].Neg()] = append(s.watches[cl[1].Neg()], cref(ci))
 	}
 }
 

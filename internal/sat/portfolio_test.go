@@ -424,15 +424,6 @@ func TestCNFHashDiscriminates(t *testing.T) {
 	}
 }
 
-// watchLists copies every literal's watch list out of the solver's arena.
-func watchLists(s *Solver) [][]cref {
-	out := make([][]cref, len(s.wlist))
-	for l, w := range s.wlist {
-		out[l] = slices.Clone(s.watches[w.off : w.off+w.n])
-	}
-	return out
-}
-
 // TestRestoreIndependentOfSearchProgress: restore must leave the same state
 // whether the previous Solve searched or was cancelled before it began, so a
 // portfolio worker 0 pre-empted by a helper's instant Unsat answers the next
@@ -458,7 +449,7 @@ func TestRestoreIndependentOfSearchProgress(t *testing.T) {
 	cut.SetContext(nil)
 	cut.restore(m2)
 
-	if !slices.Equal(ran.arena, cut.arena) || !slices.EqualFunc(watchLists(ran), watchLists(cut), slices.Equal[[]cref]) {
+	if !slices.Equal(ran.arena, cut.arena) || !slices.EqualFunc(ran.watches, cut.watches, slices.Equal[[]cref]) {
 		t.Fatal("clause/watch state after restore depends on how far the previous search ran")
 	}
 	as := []Lit{MkLit(1, false), MkLit(8, true)}

@@ -17,15 +17,12 @@
 // keeps the allocator and garbage collector out of the encoding hot path and
 // makes Clone a handful of bulk copies, which is what the campaign-scoped
 // shape cache (internal/smt) relies on to instantiate prototype solvers
-// cheaply. Watch lists follow the same scheme: every literal's list is a
-// window into one flat cref arena, so the solver holds no per-list pointers
-// for the garbage collector to scan.
+// cheaply.
 package sat
 
 import (
 	"context"
 	"math/rand"
-	"slices"
 
 	"scamv/internal/lazyrand"
 )
@@ -57,17 +54,6 @@ func (l Lit) Sign() bool { return l&1 == 1 }
 type cref = int32
 
 const crefNone cref = -1
-
-// watchList locates one literal's watch list in the watch arena: the list
-// occupies watches[off : off+n], with room for cap entries before it must
-// move.
-type watchList struct {
-	off, n, cap int32
-}
-
-// minWatchCap is the capacity a watch list gets when it first moves into
-// the arena; most literals of a blasted circuit watch only a few clauses.
-const minWatchCap = 4
 
 // clsHead locates one clause in the literal arena.
 type clsHead struct {
@@ -102,9 +88,7 @@ type Solver struct {
 	arena []Lit     // all clause literals, clause-contiguous
 	heads []clsHead // problem + learnt clauses, in addition order
 
-	watches []cref      // all watch lists, each a window described by wlist
-	wlist   []watchList // per literal: its watch list's window
-	wasted  int         // arena slots abandoned by lists that moved
+	watches [][]cref
 
 	assigns  []int8 // 0 = unassigned, 1 = true, -1 = false
 	level    []int32
@@ -115,7 +99,7 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
-	heap     varHeap
+	heap     *varHeap
 	seen     []bool
 
 	phase        []int8    // saved phase: 1 true, -1 false, 0 use default
@@ -237,7 +221,7 @@ func New(seed int64) *Solver {
 func NewWithConfig(cfg Config) *Solver {
 	cfg = cfg.withDefaults()
 	s := &Solver{varInc: 1, rng: lazyrand.New(cfg.Seed)}
-	s.heap.act = &s.activity
+	s.heap = newVarHeap(&s.activity)
 	s.DefaultPhase = cfg.DefaultPhase
 	s.RandomPhaseProb = cfg.RandomPhaseProb
 	s.RandomVarProb = cfg.RandomVarProb
@@ -251,9 +235,6 @@ func NewWithConfig(cfg Config) *Solver {
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assigns)
-	if v == cap(s.assigns) {
-		s.growVars()
-	}
 	s.assigns = append(s.assigns, 0)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefNone)
@@ -261,31 +242,9 @@ func (s *Solver) NewVar() int {
 	s.baseAct = append(s.baseAct, 0)
 	s.phase = append(s.phase, 0)
 	s.seen = append(s.seen, false)
-	s.addMark = append(s.addMark, 0)
-	s.wlist = append(s.wlist, watchList{}, watchList{})
-	s.heap.pos = append(s.heap.pos, -1)
+	s.watches = append(s.watches, nil, nil)
 	s.heap.insert(v)
 	return v
-}
-
-// growVars doubles the capacity of every per-variable slice in one step, so
-// the appends in NewVar never reallocate on their own.
-func (s *Solver) growVars() {
-	n := max(2*cap(s.assigns), 64)
-	grow := func(have int) int { return n - have }
-	s.assigns = slices.Grow(s.assigns, grow(len(s.assigns)))
-	s.level = slices.Grow(s.level, grow(len(s.level)))
-	s.reason = slices.Grow(s.reason, grow(len(s.reason)))
-	s.activity = slices.Grow(s.activity, grow(len(s.activity)))
-	s.baseAct = slices.Grow(s.baseAct, grow(len(s.baseAct)))
-	s.phase = slices.Grow(s.phase, grow(len(s.phase)))
-	s.seen = slices.Grow(s.seen, grow(len(s.seen)))
-	s.addMark = slices.Grow(s.addMark, grow(len(s.addMark)))
-	s.trail = slices.Grow(s.trail, grow(len(s.trail)))
-	s.wlist = slices.Grow(s.wlist, 2*n-len(s.wlist))
-	s.heap.pos = slices.Grow(s.heap.pos, grow(len(s.heap.pos)))
-	s.heap.heap = slices.Grow(s.heap.heap, grow(len(s.heap.heap)))
-	s.heap.queued = slices.Grow(s.heap.queued, grow(len(s.heap.queued)))
 }
 
 // NumVars returns the number of allocated variables.
@@ -331,6 +290,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// lits, detect tautology. addMark records the sign each kept variable
 	// appears with, making the scan linear in the clause length; it is
 	// all-zero again before every return.
+	if n := s.NumVars(); len(s.addMark) < n {
+		s.addMark = append(s.addMark, make([]int8, n-len(s.addMark))...)
+	}
 	out := s.addTmp[:0]
 	done := func() {
 		for _, o := range out {
@@ -382,53 +344,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 }
 
 func (s *Solver) attach(ci cref) {
-	if s.wasted > len(s.watches)/2 && s.wasted > 1024 {
-		s.compactWatches()
-	}
 	cl := s.clauseLits(ci)
-	s.watch(cl[0].Neg(), ci)
-	s.watch(cl[1].Neg(), ci)
-}
-
-// watch appends ci to literal l's watch list. A full list moves to the end
-// of the arena with doubled capacity (or grows in place when it already
-// ends there); its entries keep their order, so propagation visits watchers
-// exactly as it would with one slice per literal. Moving never touches
-// another list's window, and windows are addressed by offset, so it is safe
-// while propagate scans a different list.
-func (s *Solver) watch(l Lit, ci cref) {
-	w := &s.wlist[l]
-	if w.n == w.cap {
-		newCap := max(2*w.cap, minWatchCap)
-		end := int32(len(s.watches))
-		if w.cap > 0 && w.off+w.cap == end {
-			s.watches = slices.Grow(s.watches, int(newCap-w.cap))[:w.off+newCap]
-		} else {
-			s.watches = slices.Grow(s.watches, int(newCap))[:end+newCap]
-			copy(s.watches[end:], s.watches[w.off:w.off+w.n])
-			s.wasted += int(w.cap)
-			w.off = end
-		}
-		w.cap = newCap
-	}
-	s.watches[w.off+w.n] = ci
-	w.n++
-}
-
-// compactWatches copies every watch list, in literal order and at its
-// current capacity, into a fresh arena, dropping the slots abandoned by
-// moved lists. List contents and order are unchanged.
-func (s *Solver) compactWatches() {
-	fresh := make([]cref, 0, len(s.watches)-s.wasted)
-	for i := range s.wlist {
-		w := &s.wlist[i]
-		off := int32(len(fresh))
-		fresh = append(fresh, s.watches[w.off:w.off+w.n]...)
-		fresh = fresh[:off+w.cap]
-		w.off = off
-	}
-	s.watches = fresh
-	s.wasted = 0
+	s.watches[cl[0].Neg()] = append(s.watches[cl[0].Neg()], ci)
+	s.watches[cl[1].Neg()] = append(s.watches[cl[1].Neg()], ci)
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
@@ -451,14 +369,11 @@ func (s *Solver) propagate() cref {
 		p := s.trail[s.qhead] // p is true
 		s.qhead++
 		s.Propagations++
-		// p's own list never moves during its scan: a watch only moves to a
-		// literal that is not false, and p.Neg() is. Other lists may move
-		// and reallocate the arena, so entries are addressed by index.
-		off, end := s.wlist[p].off, s.wlist[p].off+s.wlist[p].n
-		kept := off
+		ws := s.watches[p]
+		kept := ws[:0]
 		confl := crefNone
-		for i := off; i < end; i++ {
-			ci := s.watches[i]
+		for i := 0; i < len(ws); i++ {
+			ci := ws[i]
 			cl := s.clauseLits(ci)
 			// Ensure the false literal (p.Neg()) is cl[1].
 			if cl[0] == p.Neg() {
@@ -466,8 +381,7 @@ func (s *Solver) propagate() cref {
 			}
 			// If cl[0] is already true the clause is satisfied.
 			if s.litValue(cl[0]) == 1 {
-				s.watches[kept] = ci
-				kept++
+				kept = append(kept, ci)
 				continue
 			}
 			// Look for a new literal to watch.
@@ -475,7 +389,7 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(cl); k++ {
 				if s.litValue(cl[k]) != -1 {
 					cl[1], cl[k] = cl[k], cl[1]
-					s.watch(cl[1].Neg(), ci)
+					s.watches[cl[1].Neg()] = append(s.watches[cl[1].Neg()], ci)
 					found = true
 					break
 				}
@@ -484,17 +398,16 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			// Clause is unit or conflicting.
-			s.watches[kept] = ci
-			kept++
+			kept = append(kept, ci)
 			if s.litValue(cl[0]) == -1 {
 				// Conflict: keep the remaining watches and bail.
-				kept += int32(copy(s.watches[kept:], s.watches[i+1:end]))
+				kept = append(kept, ws[i+1:]...)
 				confl = ci
 				break
 			}
 			s.uncheckedEnqueue(cl[0], ci)
 		}
-		s.wlist[p].n = kept - off
+		s.watches[p] = kept
 		if confl != crefNone {
 			return confl
 		}
@@ -566,7 +479,6 @@ func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 }
 
 func (s *Solver) bumpVar(v int) {
-	s.heap.place() // queued variables take their place under the old activities
 	s.activity[v] += s.varInc
 	if s.activity[v] > 1e100 {
 		for i := range s.activity {
@@ -585,7 +497,6 @@ func (s *Solver) decayActivities() { s.varInc /= s.varDecay }
 // toward zero inputs, mimicking Z3's default models. The boost amount is
 // also recorded as the variable's base activity, which ResetSearch restores.
 func (s *Solver) BoostVar(v int, amount float64) {
-	s.heap.place() // queued variables take their place under the old activities
 	s.activity[v] += s.varInc * amount
 	s.baseAct[v] += amount
 	s.heap.update(v)
@@ -603,8 +514,10 @@ func (s *Solver) ResetSearch(seed int64) {
 	s.cancelUntil(0)
 	s.rng.Seed(seed) // a lazyrand stream: reseeding is cheap and stream-identical
 	s.varInc = 1
-	clear(s.phase)
-	copy(s.activity, s.baseAct)
+	for v := range s.assigns {
+		s.phase[v] = 0
+		s.activity[v] = s.baseAct[v]
+	}
 	s.heap.rebuild(s.assigns)
 }
 
@@ -830,50 +743,34 @@ func (s *Solver) Model() []bool {
 // Indexed binary max-heap over variable activities (MiniSat order heap).
 // ---------------------------------------------------------------------------
 
-// varHeap orders variables by activity. Indices are int32 (variables are
-// dense int32-range integers, like literals), and pos holds one entry per
-// allocated variable (NewVar grows it before inserting).
-//
-// Inserts are queued and placed, in order, by the next pop, empty or
-// place call. Nothing else touches the heap in between, and the solver
-// places the queue before it changes any activity, so the heap always ends
-// up exactly as eager inserts would have left it. The queue pays off when
-// rebuild comes first and discards it: an incremental caller's
-// ResetSearch after a blocking clause unwound the whole model, or after a
-// solver's construction allocated all its variables.
+// varHeap orders variables by activity. Heap slots and positions are int32:
+// variables are dense int32-range integers, like literals.
 type varHeap struct {
-	act    *[]float64
-	heap   []int32
-	pos    []int32 // pos[v] = index in heap, -1 if absent
-	queued []int32 // inserted, not yet placed, in insertion order
+	act  *[]float64
+	heap []int32
+	pos  []int32 // pos[v] = index in heap, -1 if absent
 }
+
+func newVarHeap(act *[]float64) *varHeap { return &varHeap{act: act} }
 
 func (h *varHeap) less(a, b int32) bool { return (*h.act)[a] > (*h.act)[b] }
 
-func (h *varHeap) empty() bool {
-	h.place()
-	return len(h.heap) == 0
-}
+func (h *varHeap) empty() bool { return len(h.heap) == 0 }
 
-func (h *varHeap) contains(v int) bool { return h.pos[v] >= 0 }
+func (h *varHeap) contains(v int) bool { return v < len(h.pos) && h.pos[v] >= 0 }
 
-func (h *varHeap) insert(v int) { h.queued = append(h.queued, int32(v)) }
-
-// place inserts the queued variables in queue order.
-func (h *varHeap) place() {
-	for _, v := range h.queued {
-		if h.pos[v] >= 0 {
-			continue
-		}
-		h.pos[v] = int32(len(h.heap))
-		h.heap = append(h.heap, v)
-		h.up(len(h.heap) - 1)
+func (h *varHeap) insert(v int) {
+	for v >= len(h.pos) {
+		h.pos = append(h.pos, -1)
 	}
-	h.queued = h.queued[:0]
+	if h.pos[v] >= 0 {
+		return
+	}
+	h.pos[v] = int32(len(h.heap))
+	h.heap = append(h.heap, int32(v))
+	h.up(len(h.heap) - 1)
 }
 
-// update restores v's place after its activity grew; the caller has placed
-// the queue before changing the activity.
 func (h *varHeap) update(v int) {
 	if h.contains(v) {
 		h.up(int(h.pos[v]))
@@ -885,7 +782,6 @@ func (h *varHeap) update(v int) {
 // activities) matches a freshly-constructed solver's heap.
 func (h *varHeap) rebuild(assigns []int8) {
 	h.heap = h.heap[:0]
-	h.queued = h.queued[:0]
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
@@ -897,7 +793,6 @@ func (h *varHeap) rebuild(assigns []int8) {
 }
 
 func (h *varHeap) pop() int {
-	h.place()
 	v := h.heap[0]
 	last := h.heap[len(h.heap)-1]
 	h.heap = h.heap[:len(h.heap)-1]
