@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci build vet test race chaos-smoke fuzz-smoke portfolio-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-gen bench-campaign bench-telemetry bench-portfolio bench-matrix bench-obs bench-resume bench
+.PHONY: ci build vet test race chaos-smoke fuzz-smoke portfolio-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-campaign bench-telemetry bench-portfolio bench-matrix bench-obs bench-resume bench
 
-ci: build vet race portfolio-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-gen
+ci: build vet race portfolio-smoke matrix-smoke obs-smoke crash-smoke bench-micro
 
 build:
 	$(GO) build ./...
@@ -91,12 +91,6 @@ bench-matrix:
 # multi-core runners only (racing needs cores to win).
 bench-portfolio:
 	BENCH_PORTFOLIO=1 $(GO) test -run TestWriteBenchPortfolio -count=1 -v .
-
-# Generation-throughput benchmark: runs the MLine campaign in incremental
-# and legacy solver modes and writes BENCH_gen.json (queries/s, GenTime per
-# experiment, speedup). Fails if the incremental solver drops below 2x.
-bench-gen:
-	BENCH_GEN=1 $(GO) test -run TestWriteBenchGen -count=1 -v .
 
 # Campaign-engine benchmark: runs the MLine campaign (8 programs, parallel 4)
 # on the staged and monolithic engines and writes BENCH_campaign.json (wall

@@ -36,7 +36,7 @@ type benchStageRow struct {
 
 func benchCampaignRun(t *testing.T, monolithic bool, parallel int) benchCampaignRow {
 	t.Helper()
-	e := benchGenCampaign(false)
+	e := mlineCampaign()
 	e.Name = "bench-campaign-mline"
 	e.Programs = 8
 	e.Monolithic = monolithic

@@ -42,7 +42,7 @@ func TestWriteBenchMatrix(t *testing.T) {
 	seqStart := time.Now()
 	seqRows := make([]benchMatrixRow, 0, len(presets))
 	for _, name := range presets {
-		e := benchGenCampaign(false)
+		e := mlineCampaign()
 		e.Name = "bench-matrix-seq-" + name
 		specs, err := PlatformsFromPresets(name)
 		if err != nil {
@@ -70,7 +70,7 @@ func TestWriteBenchMatrix(t *testing.T) {
 
 	// Batched matrix: one campaign, one generation pass, K platform runs
 	// per generated test.
-	e := benchGenCampaign(false)
+	e := mlineCampaign()
 	e.Name = "bench-matrix"
 	specs, err := PlatformsFromPresets(presets...)
 	if err != nil {

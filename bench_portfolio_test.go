@@ -25,7 +25,7 @@ type benchPortfolioRow struct {
 
 func benchPortfolioRun(t *testing.T, mode string, portfolio int, shared bool) benchPortfolioRow {
 	t.Helper()
-	e := benchGenCampaign(false)
+	e := mlineCampaign()
 	e.Programs = 4
 	e.Portfolio = portfolio
 	e.SharedCache = shared

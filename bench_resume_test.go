@@ -27,7 +27,7 @@ type benchResumeRow struct {
 // completion included.
 func benchResumeRun(t *testing.T, journaled bool, parallel int) benchResumeRow {
 	t.Helper()
-	e := benchGenCampaign(false)
+	e := mlineCampaign()
 	e.Name = "bench-resume-mline"
 	e.Programs = 8
 	e.Parallel = parallel

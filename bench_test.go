@@ -33,6 +33,24 @@ import (
 	"scamv/internal/symexec"
 )
 
+// mlineCampaign is the MLine-support generation campaign the root
+// benchmarks share: 8 symbolic paths (TemplateA composed three times), 128
+// coverage classes, refinement on — the configuration whose per-(pair ×
+// class × slot) solver rebuild cost motivated shared-prefix reuse.
+func mlineCampaign() Experiment {
+	return Experiment{
+		Name:            "mline",
+		Template:        gen.Sequence{Parts: []gen.Template{gen.TemplateA{}, gen.TemplateA{}, gen.TemplateA{}}},
+		Model:           &obs.MCt{Geom: obs.DefaultGeometry, Spec: obs.SpecAll},
+		Refined:         true,
+		Support:         obs.MLine{Geom: obs.DefaultGeometry},
+		Programs:        3,
+		TestsPerProgram: 40,
+		Seed:            2021,
+		MaxConflicts:    200000,
+	}
+}
+
 func reportCampaign(b *testing.B, unguided, refined *Result) {
 	b.Helper()
 	if refined != nil && refined.Experiments > 0 {
@@ -239,11 +257,10 @@ func BenchmarkAblation_PathPairSplit(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_IncrementalSolver compares the shared-prefix incremental
-// generator (one solver per path pair + slot, activation-literal class
-// scopes) against the legacy fresh-solver-per-stream mode on an
-// MLine-support program — the configuration BENCH_gen.json tracks at
-// campaign scale (`make bench-gen`).
+// BenchmarkAblation_IncrementalSolver measures the shared-prefix
+// incremental generator (one solver per path pair + slot, activation-literal
+// class scopes) on an MLine-support program, the configuration of
+// mlineCampaign.
 func BenchmarkAblation_IncrementalSolver(b *testing.B) {
 	r := rand.New(rand.NewSource(2021))
 	tpl := gen.Sequence{Parts: []gen.Template{gen.TemplateA{}, gen.TemplateA{}, gen.TemplateA{}}}
@@ -252,24 +269,16 @@ func BenchmarkAblation_IncrementalSolver(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"incremental", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := core.NewGenerator(pl.Paths, core.Config{
-					Seed: int64(i), Refined: true, Registers: pl.Registers,
-					Support: obs.MLine{Geom: obs.DefaultGeometry},
-					Legacy:  mode.legacy,
-				})
-				for t := 0; t < 20; t++ {
-					if _, ok := g.Next(); !ok {
-						break
-					}
-				}
-			}
+	for i := 0; i < b.N; i++ {
+		g := core.NewGenerator(pl.Paths, core.Config{
+			Seed: int64(i), Refined: true, Registers: pl.Registers,
+			Support: obs.MLine{Geom: obs.DefaultGeometry},
 		})
+		for t := 0; t < 20; t++ {
+			if _, ok := g.Next(); !ok {
+				break
+			}
+		}
 	}
 }
 

@@ -45,7 +45,6 @@ type fingerprintConfig struct {
 	TimingAttacker  bool    `json:"timing_attacker"`
 	RandomPhaseProb float64 `json:"random_phase_prob"`
 	MaxConflicts    int64   `json:"max_conflicts"`
-	LegacySolver    bool    `json:"legacy_solver"`
 	Portfolio       int     `json:"portfolio"`
 	SharedCache     bool    `json:"shared_cache"`
 	FailPolicy      int     `json:"fail_policy"`
@@ -75,7 +74,6 @@ func journalFingerprint(e *Experiment) string {
 		TimingAttacker:  e.TimingAttacker,
 		RandomPhaseProb: e.RandomPhaseProb,
 		MaxConflicts:    e.MaxConflicts,
-		LegacySolver:    e.LegacySolver,
 		Portfolio:       e.Portfolio,
 		SharedCache:     e.SharedCache,
 		FailPolicy:      int(e.FailPolicy),

@@ -68,14 +68,6 @@ type Config struct {
 	// concrete values for each. Ghost and shadow registers are excluded by
 	// the caller.
 	Registers []string
-	// Legacy restores the pre-incremental behavior: one fresh solver per
-	// (path pair, class, slot) stream, re-eliminating memory and re-blasting
-	// the pair relation for every coverage class. The default (false) shares
-	// one solver per (path pair, slot): the relation and register-diff are
-	// asserted once and each class constraint is an activation-literal scope
-	// on top. Kept for A/B benchmarking of the shared-prefix reuse.
-	Legacy bool
-
 	// Portfolio, when >= 1, backs every solver with a portfolio of that many
 	// diversified CDCL workers racing each query. Worker 0 is canonical, so
 	// results are byte-identical to Portfolio = 0 at any size (see
@@ -85,8 +77,8 @@ type Config struct {
 	// ShapeCache, when non-nil, is the campaign-scoped prototype cache:
 	// pair-relation solvers for alpha-equivalent formula shapes (programs of
 	// one template differing only in register allocation) are cloned from one
-	// shared encoding instead of re-blasted per program. Ignored in Legacy
-	// mode. Safe to share across concurrent generators.
+	// shared encoding instead of re-blasted per program. Safe to share
+	// across concurrent generators.
 	ShapeCache *smt.ShapeCache
 
 	// Trace, when non-nil, receives one telemetry query event per solver
@@ -249,33 +241,20 @@ type pairState struct {
 	solver *smt.Solver
 	// prefixNames are the relation's variables (registers and memory reads),
 	// captured before any class constraint; model blocking covers these plus
-	// the class scope's own variables, matching the per-stream solvers of
-	// legacy mode.
+	// the class scope's own variables.
 	prefixNames []string
 	handles     map[int]smt.Handle // class -> scoped coverage constraint
 }
 
+// stream is one (path pair, class, slot) enumeration: a view into the
+// shared pair solver.
 type stream struct {
-	dead bool
-
-	// Incremental mode: a view into the shared pair solver.
+	dead   bool
 	ps     *pairState
 	handle smt.Handle // zero Handle when Support == nil
 	names  []string   // variables to block (prefix ∪ class scope)
 	seed   int64      // per-stream search seed (ResetSearch before each query)
 	n      int64      // queries issued, diversifies the search seed
-
-	// Legacy mode: a private solver owning the whole formula.
-	solver *smt.Solver
-}
-
-// activeSolver returns the solver this stream queries: its private one in
-// legacy mode, the shared pair solver otherwise.
-func (st *stream) activeSolver() *smt.Solver {
-	if st.solver != nil {
-		return st.solver
-	}
-	return st.ps.solver
 }
 
 // Generator enumerates test cases for one program, round-robin across path
@@ -353,9 +332,9 @@ func NewGenerator(paths []*symexec.Path, cfg Config) *Generator {
 		streams: make(map[genKey]*stream), pairs: make(map[pairKey]*pairState)}
 }
 
-// streamSeed reproduces the per-stream solver seed of the pre-incremental
-// generator; incremental mode feeds it to ResetSearch so every class stream
-// searches like a fresh solver over the shared CNF.
+// streamSeed is the per-stream search seed, fed to ResetSearch so every
+// class stream searches like a fresh solver seeded for it over the shared
+// CNF.
 func (g *Generator) streamSeed(k genKey) int64 {
 	return g.cfg.Seed*1000003 + int64(k.a)*8191 + int64(k.b)*131 + int64(k.class)*7 + int64(k.slot)
 }
@@ -377,7 +356,7 @@ func (g *Generator) prefixFormulas(a, b, slot int) []expr.BoolExpr {
 	return out
 }
 
-// assertPrefix installs the prefix formulas on a fresh solver (legacy path).
+// assertPrefix installs the prefix formulas on a fresh solver.
 func (g *Generator) assertPrefix(s *smt.Solver, a, b, slot int) {
 	for _, f := range g.prefixFormulas(a, b, slot) {
 		s.Assert(f)
@@ -415,22 +394,6 @@ func (g *Generator) newPairState(pk pairKey) *pairState {
 }
 
 func (g *Generator) newStream(k genKey) *stream {
-	if g.cfg.Legacy {
-		s := smt.New(smt.Options{
-			Seed:            g.streamSeed(k),
-			RandomPhaseProb: g.cfg.RandomPhaseProb,
-			MaxConflicts:    g.cfg.MaxConflicts,
-			Portfolio:       g.cfg.Portfolio,
-		})
-		if g.cfg.Ctx != nil {
-			s.SetContext(g.cfg.Ctx)
-		}
-		g.assertPrefix(s, k.a, k.b, k.slot)
-		if g.cfg.Support != nil {
-			s.Assert(g.cfg.Support.Constraint(k.class, renameObs(g.paths[k.a].Obs, sfx1)))
-		}
-		return &stream{solver: s}
-	}
 	pk := pairKey{a: k.a, b: k.b, slot: k.slot}
 	ps := g.pairs[pk]
 	if ps == nil {
@@ -501,35 +464,22 @@ func (g *Generator) Next() (*TestCase, bool) {
 		var t0 time.Time
 		if traced {
 			t0 = time.Now()
-			if st != nil {
-				before = st.activeSolver().Stats()
-			} else if !g.cfg.Legacy {
-				if ps := g.pairs[pairKey{a: k.a, b: k.b, slot: k.slot}]; ps != nil {
-					before = ps.solver.Stats()
-				}
+			if ps := g.pairs[pairKey{a: k.a, b: k.b, slot: k.slot}]; ps != nil {
+				before = ps.solver.Stats()
 			}
 		}
 		if st == nil {
 			st = g.newStream(k)
 			g.streams[k] = st
 		}
-		solver := st.solver
-		legacy := solver != nil
-		if !legacy {
-			solver = st.ps.solver
-		}
-		var status sat.Status
-		if legacy { // legacy: private solver per stream
-			status = solver.Check()
-		} else {
-			// Rewind search heuristics so this query behaves like a fresh
-			// solver seeded for this stream: preserves the minimal-model
-			// (zero-phase, boosted-input) behavior per class even though the
-			// CNF and learned clauses are shared across classes.
-			solver.ResetSearch(st.seed + st.n*65537)
-			st.n++
-			status = solver.CheckUnder(st.handle)
-		}
+		solver := st.ps.solver
+		// Rewind search heuristics so this query behaves like a fresh solver
+		// seeded for this stream: preserves the minimal-model (zero-phase,
+		// boosted-input) behavior per class even though the CNF and learned
+		// clauses are shared across classes.
+		solver.ResetSearch(st.seed + st.n*65537)
+		st.n++
+		status := solver.CheckUnder(st.handle)
 		if traced {
 			d := solver.Stats().Sub(before)
 			g.cfg.Trace.Query(telemetry.QueryEvent{
@@ -547,16 +497,10 @@ func (g *Generator) Next() (*TestCase, bool) {
 			tc := g.extract(m, k)
 			// Block this model so the stream yields a different pair next
 			// time. Blocking covers every variable of the relation,
-			// including the memory read values. Incremental streams scope
-			// the blocking clause to their class's activation literal so
-			// sibling classes on the shared solver are unaffected.
-			var blocked bool
-			if st.solver != nil {
-				blocked = solver.BlockVars(solver.VarNames())
-			} else {
-				blocked = solver.BlockVarsUnder(st.handle, st.names)
-			}
-			if !blocked {
+			// including the memory read values, and is scoped to the
+			// class's activation literal so sibling classes on the shared
+			// solver are unaffected.
+			if !solver.BlockVarsUnder(st.handle, st.names) {
 				st.dead = true
 			}
 			return tc, true

@@ -17,7 +17,7 @@ import (
 // noise) swept over the three headline platforms.
 func matrixCampaign(t *testing.T) Experiment {
 	t.Helper()
-	e := benchGenCampaign(false)
+	e := mlineCampaign()
 	e.Name = "matrix-mct"
 	e.Programs = 2
 	e.TestsPerProgram = 8

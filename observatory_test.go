@@ -32,7 +32,7 @@ func TestObservatory(t *testing.T) {
 	tr.SetDebugAddr(addr.String())
 	base := "http://" + addr.String()
 
-	e := benchGenCampaign(false)
+	e := mlineCampaign()
 	e.Name = "obs-smoke"
 	e.Programs = 2
 	e.Parallel = 2
@@ -177,7 +177,7 @@ func TestObservatoryTornTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := benchGenCampaign(false)
+	e := mlineCampaign()
 	e.Name = "torn-smoke"
 	e.Programs = 2
 	e.Trace = tr

@@ -40,7 +40,7 @@ func runLogged(t *testing.T, e Experiment) (*Result, []logdb.Record) {
 // and 4, with and without the shared shape cache — the canonical worker 0
 // supplies every model, so racing helpers only change wall-clock time.
 func TestPortfolioCampaignByteIdentical(t *testing.T) {
-	base := benchGenCampaign(false)
+	base := mlineCampaign()
 	base.Programs = 2
 	base.TestsPerProgram = 20 // full depth belongs to bench-portfolio; keep -race runs affordable
 
@@ -79,7 +79,7 @@ func TestPortfolioCampaignByteIdentical(t *testing.T) {
 // single-solver backend): results must be byte-identical with the cache on
 // or off, while the cache records hits across alpha-equivalent programs.
 func TestSharedCacheCampaignByteIdentical(t *testing.T) {
-	base := benchGenCampaign(false)
+	base := mlineCampaign()
 	base.Programs = 3
 	base.TestsPerProgram = 20
 
@@ -116,7 +116,7 @@ func TestSharedCacheCampaignByteIdentical(t *testing.T) {
 // on at once — the exact concurrency mix of a production campaign, shrunk
 // until -race can afford it.
 func TestPortfolioSmokeRace(t *testing.T) {
-	e := benchGenCampaign(false)
+	e := mlineCampaign()
 	e.Programs = 1
 	e.TestsPerProgram = 10
 	e.Portfolio = 2

@@ -201,12 +201,6 @@ type Experiment struct {
 	// setting; only wall-clock TTC varies with scheduling.
 	Parallel int
 
-	// LegacySolver disables the shared-prefix incremental solver and builds
-	// one fresh SMT solver per generator stream, as before the incremental
-	// rework. Kept for A/B benchmarking (see core.Config.Legacy); campaigns
-	// should leave it false.
-	LegacySolver bool
-
 	// Portfolio, when >= 1, races that many diversified CDCL workers per
 	// solver query, first answer wins. Worker 0 is canonical, so campaign
 	// results are byte-identical across portfolio sizes; only wall-clock
@@ -217,7 +211,7 @@ type Experiment struct {
 	// relation encodings are computed once per template shape and cloned for
 	// every alpha-equivalent program (same template, different register
 	// allocation), across all concurrent testgen workers. Results are
-	// byte-identical with the cache on or off. Ignored under LegacySolver.
+	// byte-identical with the cache on or off.
 	SharedCache bool
 
 	// shapeCache is the campaign's shared prototype cache, created by
@@ -293,8 +287,7 @@ type Result struct {
 	ExeTime time.Duration // total experiment execution time
 
 	// Queries counts solver queries issued during generation (sat + unsat +
-	// given-up); Queries/GenTime is the generation throughput tracked by
-	// BENCH_gen.json.
+	// given-up); Queries/GenTime is the generation throughput.
 	Queries int
 
 	// TTC is the time to the first counterexample (wall clock from the
@@ -461,7 +454,6 @@ func (pl *Pipeline) generatorCtx(ctx context.Context, e *Experiment, programSeed
 		Support:         e.Support,
 		MaxConflicts:    e.MaxConflicts,
 		Registers:       pl.Registers,
-		Legacy:          e.LegacySolver,
 		Portfolio:       e.Portfolio,
 		ShapeCache:      e.shapeCache,
 		Trace:           e.Trace,
@@ -970,7 +962,7 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 	if mp, ok := e.Platform.(*MultiPlatform); ok {
 		mp.setTracer(e.Trace)
 	}
-	if e.SharedCache && !e.LegacySolver {
+	if e.SharedCache {
 		e.shapeCache = smt.NewShapeCache()
 	}
 	if err := buildMatrix(&e); err != nil {

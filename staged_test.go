@@ -12,10 +12,10 @@ import (
 // TestStagedMatchesMonolithicGoldenMLine is the acceptance gate of the
 // staged-engine rework: seed-for-seed identical campaign counts between the
 // monolithic worker pool and the staged pipeline on the golden MLine
-// campaign (the BENCH_gen.json configuration), sequentially and with
+// campaign (mlineCampaign), sequentially and with
 // stage overlap at Parallel = 4.
 func TestStagedMatchesMonolithicGoldenMLine(t *testing.T) {
-	base := benchGenCampaign(false)
+	base := mlineCampaign()
 	base.Programs = 2 // keep the default test run fast; bench-campaign runs it large
 	for _, parallel := range []int{1, 4} {
 		mono := base
