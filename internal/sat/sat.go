@@ -17,12 +17,15 @@
 // keeps the allocator and garbage collector out of the encoding hot path and
 // makes Clone a handful of bulk copies, which is what the campaign-scoped
 // shape cache (internal/smt) relies on to instantiate prototype solvers
-// cheaply.
+// cheaply. Watch lists follow the same scheme: every literal's list is a
+// window into one flat cref arena, so the solver holds no per-list pointers
+// for the garbage collector to scan.
 package sat
 
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"scamv/internal/lazyrand"
 )
@@ -54,6 +57,17 @@ func (l Lit) Sign() bool { return l&1 == 1 }
 type cref = int32
 
 const crefNone cref = -1
+
+// watchList locates one literal's watch list in the watch arena: the list
+// occupies watches[off : off+n], with room for cap entries before it must
+// move.
+type watchList struct {
+	off, n, cap int32
+}
+
+// minWatchCap is the capacity a watch list gets when it first moves into
+// the arena; most literals of a blasted circuit watch only a few clauses.
+const minWatchCap = 4
 
 // clsHead locates one clause in the literal arena.
 type clsHead struct {
@@ -88,7 +102,8 @@ type Solver struct {
 	arena []Lit     // all clause literals, clause-contiguous
 	heads []clsHead // problem + learnt clauses, in addition order
 
-	watches [][]cref
+	watches []cref      // all watch lists, each a window described by wlist
+	wlist   []watchList // per literal: its watch list's window
 
 	assigns  []int8 // 0 = unassigned, 1 = true, -1 = false
 	level    []int32
@@ -99,7 +114,7 @@ type Solver struct {
 
 	activity []float64
 	varInc   float64
-	heap     *varHeap
+	heap     varHeap
 	seen     []bool
 
 	phase        []int8    // saved phase: 1 true, -1 false, 0 use default
@@ -221,7 +236,7 @@ func New(seed int64) *Solver {
 func NewWithConfig(cfg Config) *Solver {
 	cfg = cfg.withDefaults()
 	s := &Solver{varInc: 1, rng: lazyrand.New(cfg.Seed)}
-	s.heap = newVarHeap(&s.activity)
+	s.heap.act = &s.activity
 	s.DefaultPhase = cfg.DefaultPhase
 	s.RandomPhaseProb = cfg.RandomPhaseProb
 	s.RandomVarProb = cfg.RandomVarProb
@@ -242,7 +257,9 @@ func (s *Solver) NewVar() int {
 	s.baseAct = append(s.baseAct, 0)
 	s.phase = append(s.phase, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.addMark = append(s.addMark, 0)
+	s.wlist = append(s.wlist, watchList{}, watchList{})
+	s.heap.pos = append(s.heap.pos, -1)
 	s.heap.insert(v)
 	return v
 }
@@ -290,9 +307,6 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// lits, detect tautology. addMark records the sign each kept variable
 	// appears with, making the scan linear in the clause length; it is
 	// all-zero again before every return.
-	if n := s.NumVars(); len(s.addMark) < n {
-		s.addMark = append(s.addMark, make([]int8, n-len(s.addMark))...)
-	}
 	out := s.addTmp[:0]
 	done := func() {
 		for _, o := range out {
@@ -345,8 +359,32 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 
 func (s *Solver) attach(ci cref) {
 	cl := s.clauseLits(ci)
-	s.watches[cl[0].Neg()] = append(s.watches[cl[0].Neg()], ci)
-	s.watches[cl[1].Neg()] = append(s.watches[cl[1].Neg()], ci)
+	s.watch(cl[0].Neg(), ci)
+	s.watch(cl[1].Neg(), ci)
+}
+
+// watch appends ci to literal l's watch list. A full list moves to the end
+// of the arena with doubled capacity, or grows in place when it already
+// ends there; its entries keep their order, so propagation visits watchers
+// exactly as it would with one slice per literal. Moving never touches
+// another list's window, and windows are addressed by offset, so it is safe
+// while propagate scans a different list.
+func (s *Solver) watch(l Lit, ci cref) {
+	w := &s.wlist[l]
+	if w.n == w.cap {
+		newCap := max(2*w.cap, minWatchCap)
+		end := int32(len(s.watches))
+		if w.cap > 0 && w.off+w.cap == end {
+			s.watches = slices.Grow(s.watches, int(newCap-w.cap))[:w.off+newCap]
+		} else {
+			s.watches = slices.Grow(s.watches, int(newCap))[:end+newCap]
+			copy(s.watches[end:], s.watches[w.off:w.off+w.n])
+			w.off = end
+		}
+		w.cap = newCap
+	}
+	s.watches[w.off+w.n] = ci
+	w.n++
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
@@ -369,11 +407,14 @@ func (s *Solver) propagate() cref {
 		p := s.trail[s.qhead] // p is true
 		s.qhead++
 		s.Propagations++
-		ws := s.watches[p]
-		kept := ws[:0]
+		// p's own list never moves during its scan: a watch only moves to a
+		// literal that is not false, and p.Neg() is. Other lists may move
+		// and reallocate the arena, so entries are addressed by index.
+		off, end := s.wlist[p].off, s.wlist[p].off+s.wlist[p].n
+		kept := off
 		confl := crefNone
-		for i := 0; i < len(ws); i++ {
-			ci := ws[i]
+		for i := off; i < end; i++ {
+			ci := s.watches[i]
 			cl := s.clauseLits(ci)
 			// Ensure the false literal (p.Neg()) is cl[1].
 			if cl[0] == p.Neg() {
@@ -381,7 +422,8 @@ func (s *Solver) propagate() cref {
 			}
 			// If cl[0] is already true the clause is satisfied.
 			if s.litValue(cl[0]) == 1 {
-				kept = append(kept, ci)
+				s.watches[kept] = ci
+				kept++
 				continue
 			}
 			// Look for a new literal to watch.
@@ -389,7 +431,7 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(cl); k++ {
 				if s.litValue(cl[k]) != -1 {
 					cl[1], cl[k] = cl[k], cl[1]
-					s.watches[cl[1].Neg()] = append(s.watches[cl[1].Neg()], ci)
+					s.watch(cl[1].Neg(), ci)
 					found = true
 					break
 				}
@@ -398,16 +440,17 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, ci)
+			s.watches[kept] = ci
+			kept++
 			if s.litValue(cl[0]) == -1 {
 				// Conflict: keep the remaining watches and bail.
-				kept = append(kept, ws[i+1:]...)
+				kept += int32(copy(s.watches[kept:], s.watches[i+1:end]))
 				confl = ci
 				break
 			}
 			s.uncheckedEnqueue(cl[0], ci)
 		}
-		s.watches[p] = kept
+		s.wlist[p].n = kept - off
 		if confl != crefNone {
 			return confl
 		}
@@ -514,10 +557,8 @@ func (s *Solver) ResetSearch(seed int64) {
 	s.cancelUntil(0)
 	s.rng.Seed(seed) // a lazyrand stream: reseeding is cheap and stream-identical
 	s.varInc = 1
-	for v := range s.assigns {
-		s.phase[v] = 0
-		s.activity[v] = s.baseAct[v]
-	}
+	clear(s.phase)
+	copy(s.activity, s.baseAct)
 	s.heap.rebuild(s.assigns)
 }
 
@@ -744,25 +785,21 @@ func (s *Solver) Model() []bool {
 // ---------------------------------------------------------------------------
 
 // varHeap orders variables by activity. Heap slots and positions are int32:
-// variables are dense int32-range integers, like literals.
+// variables are dense int32-range integers, like literals. pos holds one
+// entry per allocated variable (NewVar grows it before inserting).
 type varHeap struct {
 	act  *[]float64
 	heap []int32
 	pos  []int32 // pos[v] = index in heap, -1 if absent
 }
 
-func newVarHeap(act *[]float64) *varHeap { return &varHeap{act: act} }
-
 func (h *varHeap) less(a, b int32) bool { return (*h.act)[a] > (*h.act)[b] }
 
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }
 
-func (h *varHeap) contains(v int) bool { return v < len(h.pos) && h.pos[v] >= 0 }
+func (h *varHeap) contains(v int) bool { return h.pos[v] >= 0 }
 
 func (h *varHeap) insert(v int) {
-	for v >= len(h.pos) {
-		h.pos = append(h.pos, -1)
-	}
 	if h.pos[v] >= 0 {
 		return
 	}
