@@ -1,9 +1,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci build vet test race chaos-smoke fuzz-smoke portfolio-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-campaign bench-telemetry bench-portfolio bench-matrix bench-obs bench-resume bench
+.PHONY: ci build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-cache bench-matrix bench-obs bench-resume bench
 
-ci: build vet race portfolio-smoke matrix-smoke obs-smoke crash-smoke bench-micro
+ci: build vet race matrix-smoke obs-smoke crash-smoke bench-micro
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,8 @@ race:
 
 # Resilience smoke: the resilience packages under the race detector, plus
 # the root chaos campaigns (deterministic fault injection under FailPolicy
-# Degrade: golden equality across engines, goroutine-leak check on cancel,
-# dead-backend pool rotation).
+# Degrade: golden equality across repeat runs and Parallel 1 vs 4,
+# goroutine-leak check on cancel, dead-backend pool rotation).
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/resilient ./internal/faultinject ./internal/stage
 	$(GO) test -race -count=1 -run 'Chaos|DegradeHealthy|MultiPlatform|CancelDuring' .
@@ -35,15 +35,9 @@ fuzz-smoke:
 	$(GO) test ./internal/oracle -run '^$$' -fuzz '^FuzzBitblastVsEval$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle -run '^$$' -fuzz '^FuzzLifterVsMicro$$' -fuzztime $(FUZZTIME)
 
-# Portfolio smoke: a one-program MLine campaign with racing CDCL workers,
-# the shared shape cache and staged parallelism all on, under the race
-# detector — the solving stack's full concurrency mix in miniature.
-portfolio-smoke:
-	$(GO) test -race -count=1 -run TestPortfolioSmokeRace .
-
 # Matrix smoke: the platform-zoo battery under the race detector — a tiny
 # 3-platform (a53/a72/m0) campaign checked for golden byte identity,
-# staged-vs-monolithic row equality, per-platform log/telemetry records, and
+# Parallel 1 vs 4 row equality, per-platform log/telemetry records, and
 # the cross-platform differential oracle with its injected-bug teeth test.
 matrix-smoke:
 	$(GO) test -race -count=1 -run 'TestMatrix|TestFormatTableRendersMatrix' .
@@ -59,8 +53,8 @@ obs-smoke:
 	$(GO) test -race -count=1 -run 'TestObservatory' .
 
 # Crash-safety smoke: the journal package under the race detector, plus the
-# root crash suite — resumed-vs-uninterrupted golden equality on both
-# engines (including the Degrade fault-injection profile), fingerprint
+# root crash suite — resumed-vs-uninterrupted golden equality (including
+# the Degrade fault-injection profile), fingerprint
 # mismatch rejection, graceful drain, and the subprocess SIGKILL/SIGINT
 # chaos loop that kills a real journaled campaign at escalating offsets and
 # resumes it to byte-identical results.
@@ -84,20 +78,11 @@ bench-micro:
 bench-matrix:
 	BENCH_MATRIX=1 $(GO) test -run TestWriteBenchMatrix -count=1 -v .
 
-# Portfolio/shape-cache benchmark: runs the MLine campaign in the plain
-# incremental, cache-only, portfolio-1/4 and portfolio-4+cache modes and
-# writes BENCH_portfolio.json (gen time, per-mode speedups, cache traffic).
-# Counts must agree across modes; the wall-clock speedup target applies on
-# multi-core runners only (racing needs cores to win).
-bench-portfolio:
-	BENCH_PORTFOLIO=1 $(GO) test -run TestWriteBenchPortfolio -count=1 -v .
-
-# Campaign-engine benchmark: runs the MLine campaign (8 programs, parallel 4)
-# on the staged and monolithic engines and writes BENCH_campaign.json (wall
-# clock, per-stage busy/wait/stall). Fails if counts diverge or GenTime
-# regresses; the wall-clock speedup is asserted only on multi-core runners.
-bench-campaign:
-	BENCH_CAMPAIGN=1 $(GO) test -run TestWriteBenchCampaign -count=1 -v .
+# Shape-cache benchmark: runs the MLine campaign on the plain incremental
+# solver and with the campaign shape cache, and writes BENCH_cache.json (gen
+# time, cache speedup, cache traffic). Fails if the cache changes any count.
+bench-cache:
+	BENCH_CACHE=1 $(GO) test -run TestWriteBenchCache -count=1 -v .
 
 # Telemetry-overhead benchmark: runs the MLine campaign with a full JSONL
 # tracer attached vs a nil tracer and writes BENCH_telemetry.json (wall

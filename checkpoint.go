@@ -16,7 +16,7 @@ import (
 // fingerprint that guards resume, the converters between the in-memory
 // programResult and the durable journal.ProgramRecord, and the signal
 // wiring for graceful shutdown. The durability mechanics live in
-// internal/journal; the engines hook in at Result.mergeProgram.
+// internal/journal; the engine hooks in at Result.mergeProgram.
 
 // fingerprintConfig is the canonical serialization of every experiment knob
 // that influences campaign counts. Resume refuses a journal whose fingerprint
@@ -24,7 +24,7 @@ import (
 // prefix generated under another would produce a Result no uninterrupted run
 // could — silently.
 //
-// Deliberately excluded: Parallel, Monolithic, ExecTimeout, and RetryBackoff
+// Deliberately excluded: Parallel, ExecTimeout, and RetryBackoff
 // are count-invariant (scheduling and wall-clock only), so a campaign may
 // legitimately resume with different values — e.g. fewer workers on a smaller
 // machine. Template, Platform, and AttackerView are code, not data, and
@@ -45,7 +45,6 @@ type fingerprintConfig struct {
 	TimingAttacker  bool    `json:"timing_attacker"`
 	RandomPhaseProb float64 `json:"random_phase_prob"`
 	MaxConflicts    int64   `json:"max_conflicts"`
-	Portfolio       int     `json:"portfolio"`
 	SharedCache     bool    `json:"shared_cache"`
 	FailPolicy      int     `json:"fail_policy"`
 	QuarantineAfter int     `json:"quarantine_after"`
@@ -74,7 +73,6 @@ func journalFingerprint(e *Experiment) string {
 		TimingAttacker:  e.TimingAttacker,
 		RandomPhaseProb: e.RandomPhaseProb,
 		MaxConflicts:    e.MaxConflicts,
-		Portfolio:       e.Portfolio,
 		SharedCache:     e.SharedCache,
 		FailPolicy:      int(e.FailPolicy),
 		QuarantineAfter: e.QuarantineAfter,

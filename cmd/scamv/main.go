@@ -69,7 +69,6 @@ func run() int {
 		reportDif = flag.String("report-diff", "", "diff this baseline trace against the trace given as the positional argument, then exit")
 		strict    = flag.Bool("strict", false, "with -report/-report-diff: fail on a torn trailing line instead of dropping it with a warning")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "per-stage worker budget (programs in flight)")
-		mono      = flag.Bool("monolithic", false, "disable the staged engine (no stage overlap or metrics; A/B baseline)")
 		trace     = flag.String("trace", "", "write a JSONL telemetry trace (spans, solver queries, verdicts) to this file")
 		debugAddr = flag.String("debug-addr", "", "serve /debug/scamv, /debug/vars and /debug/pprof on this address")
 		progress  = flag.Bool("progress", false, "print a live progress line on stderr")
@@ -77,7 +76,6 @@ func run() int {
 		retries   = flag.Int("retries", 0, "retry budget per execution for transient failures")
 		policy    = flag.String("fail-policy", "failfast", "on exhausted retries: failfast (abort campaign) or degrade (skip and continue)")
 		chaos     = flag.String("chaos", "off", "fault-injection profile: off, light, or heavy (deterministic per -seed)")
-		portfolio = flag.Int("portfolio", 0, "race N diversified CDCL workers per solver query (0 = single solver; results identical at any N)")
 		shared    = flag.Bool("shared-cache", false, "share one blast cache per template shape across the campaign (results identical on or off)")
 		matrix    = flag.Bool("matrix", false, "run each campaign as a platform matrix over -platforms (default a53,a72,m0)")
 		platNames = flag.String("platforms", "", "comma-separated platform presets for the matrix (implies -matrix); see -platforms=help")
@@ -88,6 +86,12 @@ func run() int {
 		ckptEvery = flag.Int("checkpoint-every", 0, "programs between automatic checkpoints (0 = default of 8, negative = final checkpoint only)")
 	)
 	flag.Parse()
+	if *programs < 0 {
+		return usageError("-programs %d: must not be negative (0 = scale * paper count)", *programs)
+	}
+	if *tests < 0 {
+		return usageError("-tests %d: must not be negative (0 = preset)", *tests)
+	}
 
 	if *platNames == "help" {
 		fmt.Println("platform presets:", strings.Join(micro.PresetNames(), ", "))
@@ -238,7 +242,6 @@ func run() int {
 		e.ExecTimeout = *execTO
 		e.Retries = *retries
 		e.FailPolicy = failPolicy
-		e.Portfolio = *portfolio
 		e.SharedCache = *shared
 		e.Platforms = platforms
 		e.Drain = drain
@@ -277,7 +280,6 @@ func run() int {
 		}
 		unguided.Log, refined.Log = db, db
 		unguided.Parallel, refined.Parallel = *parallel, *parallel
-		unguided.Monolithic, refined.Monolithic = *mono, *mono
 		unguided.Trace, refined.Trace = tr, tr
 		applyResilience(&unguided)
 		applyResilience(&refined)
@@ -304,7 +306,6 @@ func run() int {
 		}
 		e.Log = db
 		e.Parallel = *parallel
-		e.Monolithic = *mono
 		e.Trace = tr
 		applyResilience(&e)
 		fmt.Printf("== %s ==\n", title)
@@ -505,6 +506,14 @@ func analyseLog(path string, strict bool) error {
 		fmt.Println()
 	}
 	return nil
+}
+
+// usageError reports an invalid flag value the way flag.Parse reports an
+// unknown flag: the message and the usage text on stderr, exit status 2.
+func usageError(format string, args ...any) int {
+	fmt.Fprintf(flag.CommandLine.Output(), "scamv: "+format+"\n", args...)
+	flag.Usage()
+	return 2
 }
 
 func fatal(err error) {

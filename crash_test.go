@@ -104,18 +104,16 @@ func resumeGoldenOf(r *scamv.Result) resumeGolden {
 }
 
 // crashCampaign is the shared campaign under test: small enough for CI,
-// with the acceptance features on — platform matrix, portfolio solving, and
-// the campaign shape cache — on either engine. One program larger than the
+// with the acceptance features on — platform matrix and the campaign shape
+// cache. One program larger than the
 // staged pipeline's in-flight capacity (scamv.StageCapacity: 35 programs at
 // Parallel 4), so a drain or kill lands while the staged engine still has
 // unproduced programs.
-func crashCampaign(monolithic bool) scamv.Experiment {
+func crashCampaign() scamv.Experiment {
 	u, _ := scamv.MPartExperiments(false, 24, 5, 2021)
 	u.Repeats = 2
 	u.Parallel = 4
 	u.Programs = scamv.StageCapacity(&u) + 1
-	u.Monolithic = monolithic
-	u.Portfolio = 2
 	u.SharedCache = true
 	plats, err := scamv.PlatformsFromPresets("a53", "a72")
 	if err != nil {
@@ -174,96 +172,94 @@ func loadLogNormalized(t *testing.T, path string) []logdb.Record {
 	return recs
 }
 
-// TestResumeEquivalence is the tentpole contract on both engines: interrupt
+// TestResumeEquivalence is the crash-safety contract: interrupt
 // a journaled campaign by a graceful drain partway through, resume it in a
 // second "process" (a fresh journal open), and require the stitched Result —
 // counts, matrix rows, skips, shape-cache totals — and the experiment log to
-// equal an uninterrupted run's.
+// equal an uninterrupted run's. The subtest is named after the engine it
+// exercises, the staged pipeline.
 func TestResumeEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mono bool
-	}{{"staged", false}, {"monolithic", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
+	t.Run("staged", testResumeEquivalence)
+}
 
-			// Uninterrupted reference, no journal.
-			ref := crashCampaign(tc.mono)
-			refLog := filepath.Join(dir, "ref.jsonl")
-			db, err := logdb.Open(refLog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Log = db
-			want := resumeGoldenOf(mustRun(t, ref))
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if want.Experiments == 0 || want.ShapeMisses == 0 || len(want.Matrix) != 2 {
-				t.Fatalf("reference campaign is vacuous: %+v", want)
-			}
+func testResumeEquivalence(t *testing.T) {
+	dir := t.TempDir()
 
-			// Interrupted run: journal armed, drain after a handful of
-			// platform executions.
-			jdir := filepath.Join(dir, "state")
-			e1 := crashCampaign(tc.mono)
-			j1, err := journal.Open(jdir, e1.Name, journal.Options{Every: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			da := newDrainAfter(nil, 20)
-			e1.Platform = da
-			e1.Drain = da.ch
-			e1.Journal = j1
-			r1 := mustRun(t, e1)
-			if err := j1.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if r1.Programs >= e1.Programs {
-				t.Fatalf("drain did not interrupt: %d/%d programs completed", r1.Programs, e1.Programs)
-			}
-			if !r1.Drained {
-				t.Fatalf("partial run not marked Drained: %+v", r1)
-			}
-			if r1.Checkpoints == 0 {
-				t.Fatalf("no checkpoints written by the interrupted run")
-			}
+	// Uninterrupted reference, no journal.
+	ref := crashCampaign()
+	refLog := filepath.Join(dir, "ref.jsonl")
+	db, err := logdb.Open(refLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Log = db
+	want := resumeGoldenOf(mustRun(t, ref))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want.Experiments == 0 || want.ShapeMisses == 0 || len(want.Matrix) != 2 {
+		t.Fatalf("reference campaign is vacuous: %+v", want)
+	}
 
-			// Resumed run: fresh journal open on the same state, fresh log.
-			e2 := crashCampaign(tc.mono)
-			j2, err := journal.Open(jdir, e2.Name, journal.Options{Resume: true, Every: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resLog := filepath.Join(dir, "resumed.jsonl")
-			db2, err := logdb.Open(resLog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e2.Journal = j2
-			e2.Log = db2
-			r2 := mustRun(t, e2)
-			if err := db2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := j2.Close(); err != nil {
-				t.Fatal(err)
-			}
+	// Interrupted run: journal armed, drain after a handful of
+	// platform executions.
+	jdir := filepath.Join(dir, "state")
+	e1 := crashCampaign()
+	j1, err := journal.Open(jdir, e1.Name, journal.Options{Every: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	da := newDrainAfter(nil, 20)
+	e1.Platform = da
+	e1.Drain = da.ch
+	e1.Journal = j1
+	r1 := mustRun(t, e1)
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r1.Programs >= e1.Programs {
+		t.Fatalf("drain did not interrupt: %d/%d programs completed", r1.Programs, e1.Programs)
+	}
+	if !r1.Drained {
+		t.Fatalf("partial run not marked Drained: %+v", r1)
+	}
+	if r1.Checkpoints == 0 {
+		t.Fatalf("no checkpoints written by the interrupted run")
+	}
 
-			if r2.RestoredPrograms != r1.Programs {
-				t.Fatalf("resume restored %d programs, interrupted run completed %d",
-					r2.RestoredPrograms, r1.Programs)
-			}
-			if r2.Drained {
-				t.Fatalf("resumed run marked Drained: %+v", r2)
-			}
-			if got := resumeGoldenOf(r2); !reflect.DeepEqual(got, want) {
-				t.Fatalf("resumed Result differs from uninterrupted run:\n got %+v\nwant %+v", got, want)
-			}
-			if got, wantRecs := loadLogNormalized(t, resLog), loadLogNormalized(t, refLog); !reflect.DeepEqual(got, wantRecs) {
-				t.Fatalf("resumed log differs from uninterrupted log: %d vs %d records", len(got), len(wantRecs))
-			}
-		})
+	// Resumed run: fresh journal open on the same state, fresh log.
+	e2 := crashCampaign()
+	j2, err := journal.Open(jdir, e2.Name, journal.Options{Resume: true, Every: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resLog := filepath.Join(dir, "resumed.jsonl")
+	db2, err := logdb.Open(resLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2.Journal = j2
+	e2.Log = db2
+	r2 := mustRun(t, e2)
+	if err := db2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if r2.RestoredPrograms != r1.Programs {
+		t.Fatalf("resume restored %d programs, interrupted run completed %d",
+			r2.RestoredPrograms, r1.Programs)
+	}
+	if r2.Drained {
+		t.Fatalf("resumed run marked Drained: %+v", r2)
+	}
+	if got := resumeGoldenOf(r2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed Result differs from uninterrupted run:\n got %+v\nwant %+v", got, want)
+	}
+	if got, wantRecs := loadLogNormalized(t, resLog), loadLogNormalized(t, refLog); !reflect.DeepEqual(got, wantRecs) {
+		t.Fatalf("resumed log differs from uninterrupted log: %d vs %d records", len(got), len(wantRecs))
 	}
 }
 
@@ -274,7 +270,7 @@ func TestResumeEquivalence(t *testing.T) {
 // the fault schedule for the non-restored suffix.
 func TestResumeEquivalenceDegradeChaos(t *testing.T) {
 	chaotic := func() scamv.Experiment {
-		e := chaosExperiment(false)
+		e := chaosExperiment(4)
 		// Enough programs that the staged pipeline cannot absorb the whole
 		// campaign in its stage buffers before the drain fires (see
 		// crashCampaign for the same sizing argument; the buffers hold
@@ -325,7 +321,7 @@ func TestResumeEquivalenceDegradeChaos(t *testing.T) {
 // must fail loudly, not splice incompatible prefixes.
 func TestResumeFingerprintMismatch(t *testing.T) {
 	jdir := t.TempDir()
-	e1 := crashCampaign(false)
+	e1 := crashCampaign()
 	j1, err := journal.Open(jdir, e1.Name, journal.Options{Every: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +332,7 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2 := crashCampaign(false)
+	e2 := crashCampaign()
 	e2.Seed++ // count-affecting change
 	j2, err := journal.Open(jdir, e2.Name, journal.Options{Resume: true})
 	if err != nil {
@@ -352,20 +348,17 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 // TestDrainBeforeStart: a drain signal that lands before the campaign begins
 // yields an empty, Drained, resumable Result — not an error.
 func TestDrainBeforeStart(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mono bool
-	}{{"staged", false}, {"monolithic", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := crashCampaign(tc.mono)
-			ch := make(chan struct{})
-			close(ch)
-			e.Drain = ch
-			r := mustRun(t, e)
-			if r.Programs != 0 || !r.Drained {
-				t.Fatalf("got programs=%d drained=%v, want 0/true", r.Programs, r.Drained)
-			}
-		})
+	t.Run("staged", testDrainBeforeStart)
+}
+
+func testDrainBeforeStart(t *testing.T) {
+	e := crashCampaign()
+	ch := make(chan struct{})
+	close(ch)
+	e.Drain = ch
+	r := mustRun(t, e)
+	if r.Programs != 0 || !r.Drained {
+		t.Fatalf("got programs=%d drained=%v, want 0/true", r.Programs, r.Drained)
 	}
 }
 
@@ -374,12 +367,9 @@ func TestDrainBeforeStart(t *testing.T) {
 
 // crashChildEnv builds the command that re-executes this test binary as a
 // crash child running one journaled campaign in dir.
-func crashChildCmd(dir string, mono, armSignals bool) *exec.Cmd {
+func crashChildCmd(dir string, armSignals bool) *exec.Cmd {
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(), "SCAMV_CRASH_CHILD="+dir)
-	if mono {
-		cmd.Env = append(cmd.Env, "SCAMV_CRASH_MONO=1")
-	}
 	if armSignals {
 		cmd.Env = append(cmd.Env, "SCAMV_CRASH_ARM=1")
 	}
@@ -396,10 +386,11 @@ func exitCode(err error) int {
 	return -1
 }
 
-// TestCrashSIGKILLChaos is the kill-at-random-point proof on both engines:
+// TestCrashSIGKILLChaos is the kill-at-random-point proof:
 // repeatedly start a journaled campaign in a subprocess, SIGKILL it after an
 // escalating delay, and resume — the Result assembled across the carcasses
-// must equal an uninterrupted in-process run's.
+// must equal an uninterrupted in-process run's. The subtest is named after
+// the engine it exercises, the staged pipeline.
 func TestCrashSIGKILLChaos(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX signals required")
@@ -407,62 +398,59 @@ func TestCrashSIGKILLChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos loop skipped in -short")
 	}
-	for _, tc := range []struct {
-		name string
-		mono bool
-	}{{"staged", false}, {"monolithic", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			want := resumeGoldenOf(mustRun(t, crashCampaign(tc.mono)))
+	t.Run("staged", testCrashSIGKILLChaos)
+}
 
-			dir := t.TempDir()
-			delays := []time.Duration{
-				20 * time.Millisecond, 40 * time.Millisecond, 60 * time.Millisecond,
-				90 * time.Millisecond, 140 * time.Millisecond, 220 * time.Millisecond,
-				350 * time.Millisecond, 600 * time.Millisecond, time.Second,
-			}
-			completed := false
-			for attempt := 0; attempt < len(delays)+1 && !completed; attempt++ {
-				cmd := crashChildCmd(dir, tc.mono, false)
-				if attempt < len(delays) {
-					if err := cmd.Start(); err != nil {
-						t.Fatal(err)
-					}
-					time.Sleep(delays[attempt])
-					_ = cmd.Process.Kill() // SIGKILL; may race a clean exit
-					code := exitCode(cmd.Wait())
-					if code == 0 {
-						completed = true
-					}
-					t.Logf("attempt %d: killed after %v (exit %d)", attempt, delays[attempt], code)
-				} else {
-					// Last attempt runs to completion.
-					out, err := cmd.CombinedOutput()
-					if err != nil {
-						t.Fatalf("final resume run failed: %v\n%s", err, out)
-					}
-					completed = true
-				}
-			}
+func testCrashSIGKILLChaos(t *testing.T) {
+	want := resumeGoldenOf(mustRun(t, crashCampaign()))
 
-			// Verify the assembled journal in-process: a resume restores every
-			// program and reproduces the uninterrupted Result.
-			e := crashCampaign(tc.mono)
-			j, err := journal.Open(dir, e.Name, journal.Options{Resume: true, Every: 1})
+	dir := t.TempDir()
+	delays := []time.Duration{
+		20 * time.Millisecond, 40 * time.Millisecond, 60 * time.Millisecond,
+		90 * time.Millisecond, 140 * time.Millisecond, 220 * time.Millisecond,
+		350 * time.Millisecond, 600 * time.Millisecond, time.Second,
+	}
+	completed := false
+	for attempt := 0; attempt < len(delays)+1 && !completed; attempt++ {
+		cmd := crashChildCmd(dir, false)
+		if attempt < len(delays) {
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(delays[attempt])
+			_ = cmd.Process.Kill() // SIGKILL; may race a clean exit
+			code := exitCode(cmd.Wait())
+			if code == 0 {
+				completed = true
+			}
+			t.Logf("attempt %d: killed after %v (exit %d)", attempt, delays[attempt], code)
+		} else {
+			// Last attempt runs to completion.
+			out, err := cmd.CombinedOutput()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("final resume run failed: %v\n%s", err, out)
 			}
-			e.Journal = j
-			r := mustRun(t, e)
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if r.RestoredPrograms != e.Programs {
-				t.Fatalf("journal restored %d/%d programs after chaos loop", r.RestoredPrograms, e.Programs)
-			}
-			if got := resumeGoldenOf(r); !reflect.DeepEqual(got, want) {
-				t.Fatalf("post-chaos Result differs from uninterrupted run:\n got %+v\nwant %+v", got, want)
-			}
-		})
+			completed = true
+		}
+	}
+
+	// Verify the assembled journal in-process: a resume restores every
+	// program and reproduces the uninterrupted Result.
+	e := crashCampaign()
+	j, err := journal.Open(dir, e.Name, journal.Options{Resume: true, Every: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Journal = j
+	r := mustRun(t, e)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r.RestoredPrograms != e.Programs {
+		t.Fatalf("journal restored %d/%d programs after chaos loop", r.RestoredPrograms, e.Programs)
+	}
+	if got := resumeGoldenOf(r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-chaos Result differs from uninterrupted run:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -477,10 +465,10 @@ func TestGracefulSIGINT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess signal test skipped in -short")
 	}
-	want := resumeGoldenOf(mustRun(t, crashCampaign(false)))
+	want := resumeGoldenOf(mustRun(t, crashCampaign()))
 
 	dir := t.TempDir()
-	cmd := crashChildCmd(dir, false, true)
+	cmd := crashChildCmd(dir, true)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -496,12 +484,12 @@ func TestGracefulSIGINT(t *testing.T) {
 	}
 	t.Logf("SIGINT child exited %d", code)
 
-	out, err := crashChildCmd(dir, false, false).CombinedOutput()
+	out, err := crashChildCmd(dir, false).CombinedOutput()
 	if err != nil {
 		t.Fatalf("resume child failed: %v\n%s", err, out)
 	}
 
-	e := crashCampaign(false)
+	e := crashCampaign()
 	j, err := journal.Open(dir, e.Name, journal.Options{Resume: true, Every: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +515,7 @@ func TestSecondSignalAborts(t *testing.T) {
 		t.Skip("subprocess signal test skipped in -short")
 	}
 	dir := t.TempDir()
-	cmd := crashChildCmd(dir, false, true)
+	cmd := crashChildCmd(dir, true)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +532,7 @@ func TestSecondSignalAborts(t *testing.T) {
 	}
 	t.Logf("double-SIGINT child exited %d", code)
 
-	e := crashCampaign(false)
+	e := crashCampaign()
 	j, err := journal.Open(dir, e.Name, journal.Options{Resume: true, Every: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -83,13 +83,10 @@ type TraceReport struct {
 	Quarantines  int64
 	BreakerTrips int64
 
-	// Portfolio and shape-cache aggregates (schema v3 fields); all zero for
-	// a single-solver, cache-off campaign or an older trace. PortfolioWins
-	// tallies deciding queries per worker (index = worker-1).
-	PortfolioWins []int64
-	SharedClauses int64
-	ShapeHits     int64
-	ShapeMisses   int64
+	// Shape-cache aggregates (schema v3 "shape" records); zero for a
+	// cache-off campaign or an older trace.
+	ShapeHits   int64
+	ShapeMisses int64
 
 	// Platforms holds the per-platform verdict breakdown of matrix campaigns
 	// (schema v4 "platform" records), sorted by platform name; empty for
@@ -164,13 +161,6 @@ func AnalyzeTrace(recs []telemetry.Record) *TraceReport {
 			pe.BlastHits += rec.BlastHits
 			pe.BlastMisses += rec.BlastMisses
 			pe.AckReads += rec.AckReads
-			r.SharedClauses += rec.SharedClauses
-			if rec.Winner > 0 {
-				for len(r.PortfolioWins) < rec.Winner {
-					r.PortfolioWins = append(r.PortfolioWins, 0)
-				}
-				r.PortfolioWins[rec.Winner-1]++
-			}
 		case "verdict":
 			r.Verdicts++
 			execHist.Observe(d)
@@ -267,17 +257,7 @@ func (r *TraceReport) String() string {
 			r.Retries, r.Timeouts, r.Skips, r.Quarantines, r.BreakerTrips)
 	}
 
-	// Portfolio/shape-cache lines only when those features ran.
-	if len(r.PortfolioWins) > 0 {
-		fmt.Fprintf(&sb, "portfolio wins by worker:")
-		for i, w := range r.PortfolioWins {
-			fmt.Fprintf(&sb, " w%d=%d", i+1, w)
-		}
-		if r.SharedClauses > 0 {
-			fmt.Fprintf(&sb, "  (%d clauses imported from the share pool)", r.SharedClauses)
-		}
-		sb.WriteString("\n")
-	}
+	// Shape-cache line only when the cache ran.
 	if r.ShapeHits+r.ShapeMisses > 0 {
 		fmt.Fprintf(&sb, "shape cache: %d/%d hits (%d distinct shapes encoded)\n",
 			r.ShapeHits, r.ShapeHits+r.ShapeMisses, r.ShapeMisses)

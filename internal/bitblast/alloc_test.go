@@ -1,31 +1,24 @@
 package bitblast
 
 import (
-	"context"
 	"testing"
 
 	"scamv/internal/sat"
 )
 
-// clauseCounter is a sat.Engine that stores nothing: it hands out variable
+// clauseCounter is a Solver that stores nothing: it hands out variable
 // numbers and counts clauses, so an allocation measured through it is the
 // blaster's own.
 type clauseCounter struct{ vars, clauses int }
 
 func (c *clauseCounter) NewVar() int                    { c.vars++; return c.vars - 1 }
-func (c *clauseCounter) NumVars() int                   { return c.vars }
 func (c *clauseCounter) AddClause(lits ...sat.Lit) bool { c.clauses++; return true }
 func (c *clauseCounter) BoostVar(int, float64)          {}
-func (c *clauseCounter) Solve(...sat.Lit) sat.Status    { return sat.Unknown }
 func (c *clauseCounter) Value(int) bool                 { return false }
-func (c *clauseCounter) Model() []bool                  { return nil }
-func (c *clauseCounter) ResetSearch(int64)              {}
-func (c *clauseCounter) SetContext(context.Context)     {}
-func (c *clauseCounter) Stats() sat.Stats               { return sat.Stats{} }
 
 // TestGateClausesAllocFree: Tseitin gate clauses reach the solver without
 // a heap allocation each. A variadic argument list passed through the
-// sat.Engine interface would escape and read as one allocation per clause
+// Solver interface would escape and read as one allocation per clause
 // (a 64-bit equality emits over 400 gate clauses, an adder over 1400); the
 // blaster's scratch buffer leaves only the circuit's own result vector.
 func TestGateClausesAllocFree(t *testing.T) {

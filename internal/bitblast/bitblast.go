@@ -14,15 +14,23 @@ import (
 	"scamv/internal/sat"
 )
 
+// Solver is the part of a SAT solver the blaster drives; *sat.Solver
+// implements it.
+type Solver interface {
+	NewVar() int
+	AddClause(lits ...sat.Lit) bool
+	BoostVar(v int, amount float64)
+	Value(v int) bool
+}
+
 // Blaster incrementally encodes expressions into a SAT solver. Identical
 // subtrees are encoded once: every expression entering the blaster is first
 // hash-consed through an expr.Interner, so the pointer-keyed CNF caches hit
 // for structurally identical terms even when they were built independently
 // (e.g. the same observation address renamed once per incremental query).
 type Blaster struct {
-	// S is the backing solver — a single sat.Solver or a sat.Portfolio; the
-	// blaster only needs the Engine surface (NewVar/AddClause/BoostVar/Value).
-	S sat.Engine
+	// S is the backing solver.
+	S Solver
 
 	t, f sat.Lit // constant true / false literals
 
@@ -42,7 +50,7 @@ type Blaster struct {
 	// AssertImplied stop encoding into the solver from then on.
 	dead bool
 	// cls holds the clause being added. Passing a slice of it through the
-	// Engine interface costs nothing, where a variadic argument list would
+	// Solver interface costs nothing, where a variadic argument list would
 	// escape to the heap on every gate clause.
 	cls [3]sat.Lit
 
@@ -69,7 +77,7 @@ func (c CacheStats) Misses() int64 { return c.BVMisses + c.BoolMisses }
 func (b *Blaster) CacheStats() CacheStats { return b.stats }
 
 // New returns a Blaster over solver s.
-func New(s sat.Engine) *Blaster {
+func New(s Solver) *Blaster {
 	b := &Blaster{
 		S:         s,
 		intern:    expr.NewInterner(),
@@ -84,20 +92,20 @@ func New(s sat.Engine) *Blaster {
 	return b
 }
 
-// CloneOnto returns a blaster over eng that reuses this blaster's encoding
+// CloneOnto returns a blaster over s that reuses this blaster's encoding
 // work: the interner and both CNF caches become read-only parent layers, so
 // everything already blasted here resolves to the same literals without
-// copying the (large) maps. eng must hold the same variable space as this
-// blaster's solver — in practice a sat.Solver.Clone of it, or a portfolio
-// built from such clones. After the first CloneOnto this blaster must stay
-// frozen (no further Assert/BV/Bool calls); concurrent clones of one frozen
-// blaster are then safe, which is what the campaign shape cache relies on.
+// copying the (large) maps. s must hold the same variable space as this
+// blaster's solver — in practice a sat.Solver.Clone of it. After the first
+// CloneOnto this blaster must stay frozen (no further Assert/BV/Bool calls);
+// concurrent clones of one frozen blaster are then safe, which is what the
+// campaign shape cache relies on.
 //
 // Cache statistics start at zero in the clone: hits against the parent
 // layers count as hits of the clone.
-func (b *Blaster) CloneOnto(eng sat.Engine) *Blaster {
+func (b *Blaster) CloneOnto(s Solver) *Blaster {
 	nb := &Blaster{
-		S:         eng,
+		S:         s,
 		t:         b.t,
 		f:         b.f,
 		intern:    b.intern.NewChild(),

@@ -68,11 +68,6 @@ type Config struct {
 	// concrete values for each. Ghost and shadow registers are excluded by
 	// the caller.
 	Registers []string
-	// Portfolio, when >= 1, backs every solver with a portfolio of that many
-	// diversified CDCL workers racing each query. Worker 0 is canonical, so
-	// results are byte-identical to Portfolio = 0 at any size (see
-	// sat.Portfolio). 0 keeps the classic single-solver backend.
-	Portfolio int
 
 	// ShapeCache, when non-nil, is the campaign-scoped prototype cache:
 	// pair-relation solvers for alpha-equivalent formula shapes (programs of
@@ -371,7 +366,6 @@ func (g *Generator) newPairState(pk pairKey) *pairState {
 		Seed:            seed,
 		RandomPhaseProb: g.cfg.RandomPhaseProb,
 		MaxConflicts:    g.cfg.MaxConflicts,
-		Portfolio:       g.cfg.Portfolio,
 	}
 	var s *smt.Solver
 	if g.cfg.ShapeCache != nil {
@@ -487,7 +481,6 @@ func (g *Generator) Next() (*TestCase, bool) {
 				Status: statusName(status), Dur: time.Since(t0),
 				Conflicts: d.Conflicts, Decisions: d.Decisions, Propagations: d.Propagations,
 				BlastHits: d.BlastHits, BlastMisses: d.BlastMisses, AckReads: d.AckermannReads,
-				Winner: solver.LastWinner(), SharedClauses: d.SharedClauses,
 			})
 		}
 		switch status {

@@ -64,25 +64,6 @@ func FuzzSATOracle(f *testing.F) {
 	})
 }
 
-// FuzzPortfolioOracle differentially tests the portfolio backend against
-// the brute-force oracle on fuzzer-shaped CNFs: the 4-worker race, every
-// diversified worker configuration replayed solo, and the canonical-model
-// contract (see DiffPortfolio). Failures are minimized with ShrinkCNF.
-func FuzzPortfolioOracle(f *testing.F) {
-	f.Add([]byte("portfolio-oracle"))
-	f.Add([]byte("\x05\x08race four diversified workers"))
-	f.Add([]byte("\x02\x04\x01\x00unit chain under assumptions"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		nVars, clauses, assumptions := DecodeCNF(data)
-		if err := DiffPortfolio(nVars, clauses, assumptions, 1, 4); err != nil {
-			sv, sc := ShrinkCNF(nVars, clauses, func(nv int, cs [][]sat.Lit) bool {
-				return DiffPortfolio(nv, cs, nil, 1, 4) != nil
-			})
-			t.Fatalf("%v\nshrunk: %d vars, clauses %v", err, sv, sc)
-		}
-	})
-}
-
 // FuzzSMTModelSoundness asserts fuzzer-shaped bitvector+memory formulas and
 // validates every Sat model by concrete evaluation of the original formulas —
 // seeing through Ackermann read elimination and bit-blasting. Unsat verdicts

@@ -1,0 +1,96 @@
+package sat
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// randomCNF3 builds a reproducible random 3-SAT instance. At ratio ~4.2 the
+// instances straddle the sat/unsat threshold, exercising both verdicts.
+func randomCNF3(seed int64, nVars, nClauses int) [][]Lit {
+	rng := rand.New(rand.NewSource(seed))
+	cls := make([][]Lit, nClauses)
+	for i := range cls {
+		c := make([]Lit, 3)
+		for j := range c {
+			c[j] = MkLit(rng.Intn(nVars), rng.Intn(2) == 0)
+		}
+		cls[i] = c
+	}
+	return cls
+}
+
+func addAll(s *Solver, nVars int, cls [][]Lit) {
+	for i := 0; i < nVars; i++ {
+		s.NewVar()
+	}
+	for _, c := range cls {
+		s.AddClause(c...)
+	}
+}
+
+// watchLists copies every literal's watch list out of the solver's arena.
+func watchLists(s *Solver) [][]cref {
+	out := make([][]cref, len(s.wlist))
+	for l, w := range s.wlist {
+		out[l] = slices.Clone(s.watches[w.off : w.off+w.n])
+	}
+	return out
+}
+
+// TestCloneIndependence: a clone must solve identically to its original and
+// the two must not share mutable state afterwards.
+func TestCloneIndependence(t *testing.T) {
+	for seed := int64(0); seed < 15; seed++ {
+		cls := randomCNF3(seed, 30, 110)
+		s := New(seed)
+		addAll(s, 30, cls)
+		c := s.Clone(seed)
+		if s.CNFHash() != c.CNFHash() {
+			t.Fatalf("seed %d: clone CNF hash differs", seed)
+		}
+		st, stc := s.Solve(), c.Solve()
+		if st != stc {
+			t.Fatalf("seed %d: original=%v clone=%v", seed, st, stc)
+		}
+		if st == Sat && !reflect.DeepEqual(s.Model(), c.Model()) {
+			t.Fatalf("seed %d: clone model differs", seed)
+		}
+		// Diverge the clone; the original's database must be unaffected.
+		if st == Sat {
+			m := c.Model()
+			block := make([]Lit, 0, 30)
+			for v := 0; v < 30; v++ {
+				block = append(block, MkLit(v, m[v]))
+			}
+			nc, h := s.NumClauses(), s.CNFHash()
+			c.AddClause(block...)
+			if s.NumClauses() != nc || s.CNFHash() != h {
+				t.Fatalf("seed %d: clone mutation leaked into original", seed)
+			}
+			s.ResetSearch(seed)
+			if s.Solve() != Sat {
+				t.Fatalf("seed %d: original lost satisfiability", seed)
+			}
+		}
+	}
+}
+
+// TestCNFHashDiscriminates: the hash must be stable under cloning and
+// sensitive to clause changes.
+func TestCNFHashDiscriminates(t *testing.T) {
+	cls := randomCNF3(9, 20, 50)
+	a := New(9)
+	addAll(a, 20, cls)
+	b := New(9)
+	addAll(b, 20, cls)
+	if a.CNFHash() != b.CNFHash() {
+		t.Fatal("identical builds hash differently")
+	}
+	b.AddClause(MkLit(0, false), MkLit(1, false))
+	if a.CNFHash() == b.CNFHash() {
+		t.Fatal("hash blind to an added clause")
+	}
+}

@@ -97,7 +97,7 @@ func (s Status) String() string {
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; construct with
-// New or NewWithConfig.
+// New.
 type Solver struct {
 	arena []Lit     // all clause literals, clause-contiguous
 	heads []clsHead // problem + learnt clauses, in addition order
@@ -125,41 +125,19 @@ type Solver struct {
 	// polarity instead of the saved/default phase. Non-zero values
 	// diversify models during enumeration.
 	RandomPhaseProb float64
-	// RandomVarProb is the probability that a decision picks a uniformly
-	// random unassigned variable instead of the VSIDS choice.
-	RandomVarProb float64
-	rng           *rand.Rand
-
-	// varDecay and restart policy come from Config (New uses the classic
-	// defaults: decay 0.95, Luby restarts with base 100).
-	varDecay    float64
-	restartBase int64
-	restartGeom bool
+	rng             *rand.Rand
 
 	unsat bool // top-level conflict found
-	dirty bool // propagation has permuted clause lits / watch lists
 
 	// Stats
 	Conflicts    int64
 	Decisions    int64
 	Propagations int64
 	Learnt       int64
-	SharedIn     int64 // clauses imported from a ClauseShare pool
-	SharedOut    int64 // clauses exported to a ClauseShare pool
 
 	// MaxConflicts, when positive, aborts Solve with Unknown after that
 	// many conflicts within one Solve call.
 	MaxConflicts int64
-
-	// Clause sharing (portfolio workers only; see ClauseShare). share is
-	// consulted at restart boundaries: learnt clauses up to shareMaxLen
-	// literals are exported, and — when shareImport is set — foreign clauses
-	// are imported as learnt clauses.
-	share       *ClauseShare
-	shareCursor int // pool index imported up to
-	shareImport bool
-	shareMaxLen int
-	lastExport  int // heads index exported up to
 
 	// Scratch buffers reused across conflicts; their contents never survive
 	// a call.
@@ -197,8 +175,6 @@ type Stats struct {
 	Decisions    int64
 	Propagations int64
 	Learnt       int64
-	SharedIn     int64
-	SharedOut    int64
 }
 
 // Stats snapshots the search counters.
@@ -208,8 +184,6 @@ func (s *Solver) Stats() Stats {
 		Decisions:    s.Decisions,
 		Propagations: s.Propagations,
 		Learnt:       s.Learnt,
-		SharedIn:     s.SharedIn,
-		SharedOut:    s.SharedOut,
 	}
 }
 
@@ -221,29 +195,22 @@ func (st Stats) Sub(prev Stats) Stats {
 		Decisions:    st.Decisions - prev.Decisions,
 		Propagations: st.Propagations - prev.Propagations,
 		Learnt:       st.Learnt - prev.Learnt,
-		SharedIn:     st.SharedIn - prev.SharedIn,
-		SharedOut:    st.SharedOut - prev.SharedOut,
 	}
 }
 
-// New returns an empty solver seeded for reproducible randomized decisions,
-// with the classic search configuration (see Config).
-func New(seed int64) *Solver {
-	return NewWithConfig(Config{Seed: seed})
-}
+// Search constants: VSIDS activity decay and the Luby restart unit (in
+// conflicts), the classic MiniSat values.
+const (
+	varDecay    = 0.95
+	restartBase = 100
+)
 
-// NewWithConfig returns an empty solver with the given search configuration.
-func NewWithConfig(cfg Config) *Solver {
-	cfg = cfg.withDefaults()
-	s := &Solver{varInc: 1, rng: lazyrand.New(cfg.Seed)}
+// New returns an empty solver seeded for reproducible randomized decisions.
+// The zero default phase, no random polarity and no conflict budget are the
+// defaults; set DefaultPhase, RandomPhaseProb and MaxConflicts to change them.
+func New(seed int64) *Solver {
+	s := &Solver{varInc: 1, rng: lazyrand.New(seed)}
 	s.heap.act = &s.activity
-	s.DefaultPhase = cfg.DefaultPhase
-	s.RandomPhaseProb = cfg.RandomPhaseProb
-	s.RandomVarProb = cfg.RandomVarProb
-	s.MaxConflicts = cfg.MaxConflicts
-	s.varDecay = cfg.VarDecay
-	s.restartBase = cfg.RestartBase
-	s.restartGeom = cfg.RestartGeometric
 	return s
 }
 
@@ -402,7 +369,6 @@ func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 // propagate performs unit propagation; it returns a conflicting clause
 // reference or crefNone.
 func (s *Solver) propagate() cref {
-	s.dirty = true // watch lists and clause lit order may be permuted below
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true
 		s.qhead++
@@ -532,7 +498,7 @@ func (s *Solver) bumpVar(v int) {
 	s.heap.update(v)
 }
 
-func (s *Solver) decayActivities() { s.varInc /= s.varDecay }
+func (s *Solver) decayActivities() { s.varInc /= varDecay }
 
 // BoostVar raises a variable's initial activity so it is decided early.
 // The bit-blaster boosts the bits of named input variables: together with
@@ -583,15 +549,6 @@ func (s *Solver) cancelUntil(lvl int32) {
 }
 
 func (s *Solver) pickBranchVar() int {
-	if s.RandomVarProb > 0 && s.rng.Float64() < s.RandomVarProb {
-		// Try a few random picks before falling back to VSIDS.
-		for try := 0; try < 8; try++ {
-			v := s.rng.Intn(s.NumVars())
-			if s.assigns[v] == 0 {
-				return v
-			}
-		}
-	}
 	for !s.heap.empty() {
 		v := s.heap.pop()
 		if s.assigns[v] == 0 {
@@ -630,19 +587,6 @@ func luby(x int64) int64 {
 	return 1 << seq
 }
 
-// restartBudget returns the conflict budget of the r-th restart interval
-// under the configured policy: Luby (default) or geometric (×1.5).
-func (s *Solver) restartBudget(r int64) int64 {
-	if s.restartGeom {
-		b := s.restartBase
-		for i := int64(0); i < r; i++ {
-			b += b >> 1
-		}
-		return b
-	}
-	return luby(r) * s.restartBase
-}
-
 // Solve searches for a satisfying assignment consistent with the given
 // assumption literals. It returns Sat, Unsat, or Unknown (only when
 // MaxConflicts is exceeded within this call, or the context is cancelled).
@@ -658,12 +602,6 @@ func (s *Solver) restartBudget(r int64) int64 {
 // including the assumption literals — is readable through Value and Model
 // until the next Solve or AddClause call.
 func (s *Solver) Solve(assumptions ...Lit) Status {
-	// Every Solve, however early it returns, leaves the watch state for
-	// restore to re-canonicalize. A portfolio worker 0 cancelled by a
-	// helper's instant Unsat before it propagates would otherwise keep its
-	// as-added clause order while a lone solver's is canonicalized, and the
-	// two would search the next query differently.
-	s.dirty = true
 	if s.unsat {
 		return Unsat
 	}
@@ -681,7 +619,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 	}
 	restart := int64(0)
-	budget := s.restartBudget(restart)
+	budget := luby(restart) * restartBase
 	conflictsHere := int64(0)
 	startConflicts := s.Conflicts
 
@@ -714,20 +652,15 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unknown
 			}
 			if conflictsHere >= budget {
-				// Restart. The boundary is also the cheap place to notice a
-				// lost portfolio race: frequently-restarting helpers stop
-				// burning cycles well before the every-1024th-conflict poll.
+				// Restart. The boundary is also a cheap place to notice a
+				// cancelled context, well before the every-1024th-conflict
+				// poll.
 				conflictsHere = 0
 				restart++
-				budget = s.restartBudget(restart)
+				budget = luby(restart) * restartBase
 				s.cancelUntil(0)
 				if s.ctx != nil && s.ctx.Err() != nil {
 					return Unknown
-				}
-				if s.share != nil {
-					if !s.shareSync() {
-						return Unsat
-					}
 				}
 			}
 			continue

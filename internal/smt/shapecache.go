@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"scamv/internal/expr"
-	"scamv/internal/sat"
 )
 
 // renamer is the name-space boundary of a shape-cache-instantiated solver:
@@ -137,9 +136,9 @@ func (sc *ShapeCache) Stats() ShapeCacheStats {
 // with every other instantiation of the same formula shape. The returned
 // bool reports whether the prototype already existed (a cache hit).
 //
-// Only the base-configuration knobs of opts (seed, phase, conflict budget,
-// portfolio size) vary between instantiations; they do not enter the cache
-// key because they configure the search, not the CNF.
+// Only the search options in opts (seed, phase, conflict budget) vary
+// between instantiations; they do not enter the cache key because they
+// configure the search, not the CNF.
 func (sc *ShapeCache) Instantiate(opts Options, formulas []expr.BoolExpr) (*Solver, bool) {
 	s, hit, _ := sc.InstantiateTagged(opts, formulas)
 	return s, hit
@@ -220,24 +219,7 @@ func (sc *ShapeCache) InstantiateTagged(opts Options, formulas []expr.BoolExpr) 
 
 // instantiate clones the prototype under the requested search options.
 func (sc *ShapeCache) instantiate(proto *Solver, opts Options, names []string) *Solver {
-	protoSat := proto.sat.(*sat.Solver)
-	cfg := opts.satConfig()
-	var eng sat.Engine
-	if opts.Portfolio >= 1 {
-		cfgs := sat.DefaultPortfolioConfigs(cfg, opts.Portfolio)
-		workers := make([]*sat.Solver, len(cfgs))
-		for i, c := range cfgs {
-			workers[i] = protoSat.Clone(c.Seed)
-		}
-		eng = sat.NewPortfolioFrom(workers, cfgs)
-	} else {
-		w := protoSat.Clone(opts.Seed)
-		w.DefaultPhase = opts.DefaultPhase
-		w.RandomPhaseProb = opts.RandomPhaseProb
-		w.MaxConflicts = opts.MaxConflicts
-		eng = w
-	}
-
+	eng := opts.configure(proto.sat.Clone(opts.Seed))
 	s := &Solver{
 		sat:            eng,
 		bl:             proto.bl.CloneOnto(eng),

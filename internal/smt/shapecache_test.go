@@ -33,11 +33,7 @@ func buildUncached(opts Options, fs []expr.BoolExpr) *Solver {
 
 func cnfHash(t *testing.T, s *Solver) uint64 {
 	t.Helper()
-	w, ok := s.sat.(*sat.Solver)
-	if !ok {
-		t.Fatalf("backend is %T, want *sat.Solver", s.sat)
-	}
-	return w.CNFHash()
+	return s.sat.CNFHash()
 }
 
 // enumerate checks, models, and blocks nTimes, returning the model sequence.
@@ -209,7 +205,7 @@ func TestShapeCacheConcurrent(t *testing.T) {
 			r2 := fmt.Sprintf("Q%d", w)
 			fs := pairFormulas(r1, r2, "MEM")
 			s, _ := sc.Instantiate(Options{Seed: 42}, fs)
-			hashes[w] = s.sat.(*sat.Solver).CNFHash()
+			hashes[w] = s.sat.CNFHash()
 			verdicts[w] = s.Check()
 			if verdicts[w] == sat.Sat {
 				m := s.Model()
@@ -236,34 +232,6 @@ func TestShapeCacheConcurrent(t *testing.T) {
 	}
 	if st.Hits != workers-1 {
 		t.Fatalf("hits = %d, want %d", st.Hits, workers-1)
-	}
-}
-
-// TestShapeCachePortfolioInstantiation checks that portfolio-backed clones
-// from the cache agree with the single-solver clone (worker 0 canonical).
-func TestShapeCachePortfolioInstantiation(t *testing.T) {
-	fs := pairFormulas("R3", "R7", "MEM")
-	sc := NewShapeCache()
-
-	s1, _ := sc.Instantiate(Options{Seed: 5, Portfolio: 1}, fs)
-	s4, _ := sc.Instantiate(Options{Seed: 5, Portfolio: 4}, fs)
-	if _, ok := s1.sat.(*sat.Portfolio); !ok {
-		t.Fatalf("Portfolio:1 backend is %T", s1.sat)
-	}
-	if _, ok := s4.sat.(*sat.Portfolio); !ok {
-		t.Fatalf("Portfolio:4 backend is %T", s4.sat)
-	}
-
-	names := []string{"R3", "R7"}
-	m1 := enumerate(t, s1, fs, names, 6)
-	m4 := enumerate(t, s4, fs, names, 6)
-	if len(m1) != len(m4) {
-		t.Fatalf("model counts differ: P1 %d P4 %d", len(m1), len(m4))
-	}
-	for i := range m1 {
-		if !reflect.DeepEqual(m1[i].BV, m4[i].BV) {
-			t.Fatalf("model %d differs between P1 and P4:\n %v\n %v", i, m1[i].BV, m4[i].BV)
-		}
 	}
 }
 

@@ -36,22 +36,15 @@ type Options struct {
 	RandomPhaseProb float64
 	// MaxConflicts bounds the search; 0 means unbounded.
 	MaxConflicts int64
-	// Portfolio, when >= 1, backs the solver with a sat.Portfolio of that
-	// many diversified CDCL workers racing each query (worker 0 runs the
-	// configuration above and supplies all models, so results are
-	// deterministic across portfolio sizes; see sat.Portfolio). 0 keeps the
-	// classic single-solver backend.
-	Portfolio int
 }
 
-// satConfig maps Options onto the base sat search configuration.
-func (o Options) satConfig() sat.Config {
-	return sat.Config{
-		Seed:            o.Seed,
-		DefaultPhase:    o.DefaultPhase,
-		RandomPhaseProb: o.RandomPhaseProb,
-		MaxConflicts:    o.MaxConflicts,
-	}
+// configure sets the search fields of Options on a solver seeded with
+// o.Seed, whether fresh (New) or cloned from a prototype (ShapeCache).
+func (o Options) configure(s *sat.Solver) *sat.Solver {
+	s.DefaultPhase = o.DefaultPhase
+	s.RandomPhaseProb = o.RandomPhaseProb
+	s.MaxConflicts = o.MaxConflicts
+	return s
 }
 
 type readInfo struct {
@@ -67,7 +60,7 @@ type readInfo struct {
 // over a shared prefix reuse one solver (one memory elimination, one
 // bit-blasting) instead of rebuilding it per query.
 type Solver struct {
-	sat sat.Engine
+	sat *sat.Solver
 	bl  *bitblast.Blaster
 
 	// rn, when non-nil, translates between the caller's variable names and
@@ -110,13 +103,7 @@ func (h Handle) Names() []string { return h.names }
 
 // New returns a fresh solver.
 func New(opts Options) *Solver {
-	cfg := opts.satConfig()
-	var eng sat.Engine
-	if opts.Portfolio >= 1 {
-		eng = sat.NewPortfolio(sat.DefaultPortfolioConfigs(cfg, opts.Portfolio))
-	} else {
-		eng = sat.NewWithConfig(cfg)
-	}
+	eng := opts.configure(sat.New(opts.Seed))
 	return &Solver{
 		sat:      eng,
 		bl:       bitblast.New(eng),
@@ -386,11 +373,7 @@ func (s *Solver) readBase(m expr.MemExpr, addr expr.BVExpr) expr.BVExpr {
 // clause-database hash (sat.Solver.CNFHash). Tests pin these to prove that
 // an encoding change leaves the CNF it produces untouched.
 func (s *Solver) CNFIdentity() (vars, clauses int, hash uint64) {
-	e := s.sat.(interface {
-		NumClauses() int
-		CNFHash() uint64
-	})
-	return s.sat.NumVars(), e.NumClauses(), e.CNFHash()
+	return s.sat.NumVars(), s.sat.NumClauses(), s.sat.CNFHash()
 }
 
 // Check runs the SAT search.
@@ -420,11 +403,6 @@ type Stats struct {
 	// memory, the §5-style blowup this layer makes observable).
 	AckermannReads       int64
 	AckermannConstraints int64
-
-	// SharedClauses counts learnt clauses imported from the portfolio's
-	// clause-share pool, summed over all workers. Always 0 for the classic
-	// single-solver backend.
-	SharedClauses int64
 }
 
 // Sub returns the counter deltas st - prev.
@@ -437,7 +415,6 @@ func (st Stats) Sub(prev Stats) Stats {
 		BlastMisses:          st.BlastMisses - prev.BlastMisses,
 		AckermannReads:       st.AckermannReads - prev.AckermannReads,
 		AckermannConstraints: st.AckermannConstraints - prev.AckermannConstraints,
-		SharedClauses:        st.SharedClauses - prev.SharedClauses,
 	}
 }
 
@@ -453,27 +430,7 @@ func (s *Solver) Stats() Stats {
 		BlastMisses:          cs.Misses(),
 		AckermannReads:       int64(s.nreads),
 		AckermannConstraints: s.ackConstraints,
-		SharedClauses:        ss.SharedIn,
 	}
-}
-
-// LastWinner reports which portfolio worker decided the previous check
-// (1-based), or 0 when the backend is a single solver or the check returned
-// Unknown. The telemetry layer records it per query.
-func (s *Solver) LastWinner() int {
-	if p, ok := s.sat.(*sat.Portfolio); ok {
-		return p.LastWinner()
-	}
-	return 0
-}
-
-// PortfolioWins returns the per-worker verdict tallies of the portfolio
-// backend, or nil for a single-solver backend.
-func (s *Solver) PortfolioWins() []int64 {
-	if p, ok := s.sat.(*sat.Portfolio); ok {
-		return p.Wins()
-	}
-	return nil
 }
 
 // Model extracts the current satisfying assignment, including reconstructed

@@ -76,21 +76,11 @@ func (t *Tracer) WriteMetrics(w io.Writer) {
 	m.sample("scamv_shape_cache_hits_total", nil, ival(c.ShapeHits))
 	m.family("scamv_shape_cache_misses_total", "counter", "Campaign shape-cache misses (distinct shapes encoded).")
 	m.sample("scamv_shape_cache_misses_total", nil, ival(c.ShapeMisses))
-	m.family("scamv_shared_clauses_total", "counter", "Learnt clauses imported from the portfolio share pool.")
-	m.sample("scamv_shared_clauses_total", nil, ival(c.SharedClauses))
 
 	m.family("scamv_resumed_programs_total", "counter", "Programs restored from campaign journals instead of re-run.")
 	m.sample("scamv_resumed_programs_total", nil, ival(c.ResumedPrograms))
 	m.family("scamv_checkpoints_total", "counter", "Durable campaign checkpoints written.")
 	m.sample("scamv_checkpoints_total", nil, ival(c.Checkpoints))
-
-	if len(c.PortfolioWins) > 0 {
-		m.family("scamv_portfolio_wins_total", "counter", "Deciding queries per portfolio worker.")
-		for i, wins := range c.PortfolioWins {
-			m.sample("scamv_portfolio_wins_total",
-				[][2]string{{"worker", strconv.Itoa(i + 1)}}, ival(wins))
-		}
-	}
 
 	if len(c.Platforms) > 0 {
 		m.family("scamv_platform_experiments_total", "counter", "Executed tests per matrix platform.")
@@ -110,9 +100,9 @@ func (t *Tracer) WriteMetrics(w io.Writer) {
 		}
 	}
 
-	// Stage-level work accounting. Busy comes from the span histograms so
-	// it exists on both engines; wait/stall/items/workers come from the
-	// staged engine's live pipeline source when one is registered.
+	// Stage-level work accounting. Busy comes from the span histograms, so
+	// it exists whenever spans were traced; wait/stall/items/workers come
+	// from the staged engine's live pipeline source when one is registered.
 	if len(c.Stages) > 0 {
 		m.family("scamv_stage_busy_seconds_total", "counter", "Work time inside each pipeline stage, summed over workers.")
 		for _, s := range c.Stages {

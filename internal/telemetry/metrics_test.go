@@ -166,8 +166,8 @@ func TestWriteMetricsParsesAndCounts(t *testing.T) {
 	tr.Span("testgen", 0, time.Now().Add(-3*time.Millisecond))
 	tr.Span("execute", 0, time.Now().Add(-time.Millisecond))
 	tr.Query(QueryEvent{Status: "sat", Dur: 2 * time.Millisecond,
-		Conflicts: 7, Propagations: 90, BlastMisses: 1, Winner: 2, SharedClauses: 5})
-	tr.Query(QueryEvent{Status: "unsat", Dur: time.Millisecond, Winner: 1})
+		Conflicts: 7, Propagations: 90, BlastMisses: 1})
+	tr.Query(QueryEvent{Status: "unsat", Dur: time.Millisecond})
 	tr.Verdict(0, 0, "counterexample", time.Millisecond)
 	tr.PlatformVerdict(0, 0, "a53", "counterexample", time.Millisecond)
 	tr.PlatformVerdict(0, 0, "a72", "ok", time.Millisecond)
@@ -193,10 +193,7 @@ func TestWriteMetricsParsesAndCounts(t *testing.T) {
 		"scamv_solver_conflicts_total{}|le=":                       7,
 		"scamv_solver_propagations_total{}|le=":                    90,
 		"scamv_blast_cache_misses_total{}|le=":                     1,
-		"scamv_shared_clauses_total{}|le=":                         5,
 		"scamv_shape_cache_hits_total{}|le=":                       1,
-		`scamv_portfolio_wins_total{worker="1"}|le=`:               1,
-		`scamv_portfolio_wins_total{worker="2"}|le=`:               1,
 		`scamv_platform_counterexamples_total{platform="a53"}|le=`: 1,
 		`scamv_platform_experiments_total{platform="a72"}|le=`:     1,
 		`scamv_stage_items_in_total{stage="testgen"}|le=`:          1,

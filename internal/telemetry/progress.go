@@ -13,9 +13,9 @@ import (
 // query throughput over the interval, and the per-stage busy share of the
 // interval's pipeline work.
 //
-// With no stage samples (a -monolithic campaign before any shared stage
-// body ran, or an idle tracer) the line falls back to the program-level
-// counts alone — it never assumes a stage spine exists.
+// With no stage samples (a campaign before any stage body ran, or an idle
+// tracer) the line falls back to the program-level counts alone — it never
+// assumes a stage spine exists.
 func RenderProgress(cur, prev Counters, dt time.Duration) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "progs %d/%d", cur.Programs, cur.TotalPrograms)
@@ -53,18 +53,9 @@ func RenderProgress(cur, prev Counters, dt time.Duration) string {
 	if cur.Checkpoints > 0 {
 		fmt.Fprintf(&sb, "  ckpts %d", cur.Checkpoints)
 	}
-	// Portfolio/shape-cache counters appear only when those features run.
+	// Shape-cache counters appear only when the cache runs.
 	if cur.ShapeHits+cur.ShapeMisses > 0 {
 		fmt.Fprintf(&sb, "  shapes %d/%d hit", cur.ShapeHits, cur.ShapeHits+cur.ShapeMisses)
-	}
-	if len(cur.PortfolioWins) > 0 {
-		sb.WriteString("  wins")
-		for _, w := range cur.PortfolioWins {
-			fmt.Fprintf(&sb, " %d", w)
-		}
-		if cur.SharedClauses > 0 {
-			fmt.Fprintf(&sb, "  shared %d", cur.SharedClauses)
-		}
 	}
 
 	// Busy share over the interval: how the pipeline's working time divided

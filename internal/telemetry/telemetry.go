@@ -37,9 +37,10 @@ import (
 // Version 1: kinds "campaign", "span", "query", "verdict" with the fields
 // documented on Record. Version 2 adds the resilience kinds "retry",
 // "timeout", "skip", "quarantine", "breaker" (new fields Reason, Attempt,
-// From, To). Version 3 adds the portfolio/shape-cache fields on "query"
-// records (Winner, SharedClauses) and the "shape" kind (Hit) recording
-// campaign shape-cache lookups; v1 and v2 traces remain loadable. Version 4
+// From, To). Version 3 adds the "shape" kind (Hit) recording campaign
+// shape-cache lookups; v1 and v2 traces remain loadable. (Version 3 also
+// added the per-query fields "winner" and "shared_clauses" of a since-
+// retired portfolio backend; readers ignore them.) Version 4
 // adds the "platform" kind: one record per (platform, test) of a matrix
 // campaign, carrying the platform name in Name alongside the verdict fields.
 // Version 5 adds the crash-safety kinds "resume" (a campaign restored a
@@ -58,9 +59,7 @@ const SchemaVersion = 5
 //	span      one pipeline stage finished for one program: Stage, Prog, DurUS
 //	query     one solver query: Prog, PathA/PathB/Class/Slot, Status, DurUS,
 //	          plus the solver-effort deltas of this query (Conflicts,
-//	          Decisions, Propagations, BlastHits, BlastMisses, AckReads) and,
-//	          under a portfolio backend, Winner (1-based deciding worker) and
-//	          SharedClauses (learnt clauses imported this query)
+//	          Decisions, Propagations, BlastHits, BlastMisses, AckReads)
 //	shape     one campaign shape-cache lookup: Prog, Hit
 //	verdict   one executed test case: Prog, Test, Verdict, DurUS
 //	retry     one platform retry: Prog, Test, Attempt (failing attempt,
@@ -110,10 +109,8 @@ type Record struct {
 	From    string `json:"from,omitempty"`
 	To      string `json:"to,omitempty"`
 
-	// Portfolio and shape-cache fields (schema v3).
-	Winner        int   `json:"winner,omitempty"`
-	SharedClauses int64 `json:"shared_clauses,omitempty"`
-	Hit           bool  `json:"hit,omitempty"`
+	// Shape-cache field (schema v3).
+	Hit bool `json:"hit,omitempty"`
 }
 
 // QueryEvent is one solver query as reported by the test-case generator.
@@ -133,12 +130,6 @@ type QueryEvent struct {
 	BlastHits    int64
 	BlastMisses  int64
 	AckReads     int64
-
-	// Winner is the 1-based portfolio worker that decided the query (0 for a
-	// single-solver backend or an undecided query); SharedClauses counts the
-	// learnt clauses imported from the portfolio share pool during the query.
-	Winner        int
-	SharedClauses int64
 }
 
 // stageAgg accumulates span observations for one stage name.
@@ -180,16 +171,13 @@ type Tracer struct {
 	quarantines  atomic.Int64
 	breakerTrips atomic.Int64
 
-	// Portfolio and shape-cache counters (schema v3).
-	sharedClauses atomic.Int64
-	shapeHits     atomic.Int64
-	shapeMisses   atomic.Int64
+	// Shape-cache counters (schema v3).
+	shapeHits   atomic.Int64
+	shapeMisses atomic.Int64
 
 	// Crash-safety counters (schema v5).
 	resumedPrograms atomic.Int64
 	checkpoints     atomic.Int64
-	winsMu          sync.Mutex
-	wins            []int64 // index = winner-1, grown on demand
 
 	// Per-platform verdict aggregates of a matrix campaign (schema v4).
 	platMu    sync.Mutex
@@ -400,22 +388,12 @@ func (t *Tracer) Query(ev QueryEvent) {
 	t.blastHits.Add(ev.BlastHits)
 	t.blastMisses.Add(ev.BlastMisses)
 	t.ackReads.Add(ev.AckReads)
-	t.sharedClauses.Add(ev.SharedClauses)
-	if ev.Winner > 0 {
-		t.winsMu.Lock()
-		for len(t.wins) < ev.Winner {
-			t.wins = append(t.wins, 0)
-		}
-		t.wins[ev.Winner-1]++
-		t.winsMu.Unlock()
-	}
 	t.record(&Record{
 		Kind: "query", TSus: t.now(), Prog: ev.Prog,
 		PathA: ev.PathA, PathB: ev.PathB, Class: ev.Class, Slot: ev.Slot,
 		Status: ev.Status, DurUS: ev.Dur.Microseconds(),
 		Conflicts: ev.Conflicts, Decisions: ev.Decisions, Propagations: ev.Propagations,
 		BlastHits: ev.BlastHits, BlastMisses: ev.BlastMisses, AckReads: ev.AckReads,
-		Winner: ev.Winner, SharedClauses: ev.SharedClauses,
 	})
 	if fr := t.fr.Load(); fr != nil {
 		fr.noteQuery(ev.Dur, &t.queryHist)
@@ -613,13 +591,9 @@ type Counters struct {
 	Quarantines  int64
 	BreakerTrips int64
 
-	// SharedClauses sums the learnt clauses imported across portfolio
-	// workers; PortfolioWins tallies deciding queries per worker (index =
-	// worker-1); ShapeHits/ShapeMisses count campaign shape-cache lookups.
-	SharedClauses int64
-	PortfolioWins []int64
-	ShapeHits     int64
-	ShapeMisses   int64
+	// ShapeHits/ShapeMisses count campaign shape-cache lookups.
+	ShapeHits   int64
+	ShapeMisses int64
 
 	// ResumedPrograms counts programs restored from campaign journals
 	// (included in Programs); Checkpoints counts durable checkpoints written.
@@ -634,7 +608,7 @@ type Counters struct {
 
 	// Pipeline holds the staged engine's live per-stage busy/wait/stall
 	// metrics when a campaign registered a source via SetPipelineSource;
-	// nil for monolithic campaigns and idle tracers. Unlike Stages (span
+	// nil for idle tracers. Unlike Stages (span
 	// durations), Pipeline carries starvation and backpressure.
 	Pipeline []PipelineStage
 }
@@ -664,15 +638,11 @@ func (t *Tracer) Snapshot() Counters {
 		Skips:           t.skips.Load(),
 		Quarantines:     t.quarantines.Load(),
 		BreakerTrips:    t.breakerTrips.Load(),
-		SharedClauses:   t.sharedClauses.Load(),
 		ShapeHits:       t.shapeHits.Load(),
 		ShapeMisses:     t.shapeMisses.Load(),
 		ResumedPrograms: t.resumedPrograms.Load(),
 		Checkpoints:     t.checkpoints.Load(),
 	}
-	t.winsMu.Lock()
-	c.PortfolioWins = append([]int64(nil), t.wins...)
-	t.winsMu.Unlock()
 	t.platMu.Lock()
 	for _, pc := range t.platforms {
 		c.Platforms = append(c.Platforms, *pc)

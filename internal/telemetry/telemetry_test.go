@@ -255,13 +255,14 @@ func TestRenderProgressWithStages(t *testing.T) {
 	}
 }
 
-func TestRenderProgressMonolithicFallback(t *testing.T) {
-	// No stage spine at all (monolithic campaign): the line must fall back
-	// to program-level counts without panicking or printing a busy section.
+func TestRenderProgressNoStagesFallback(t *testing.T) {
+	// No stage spine at all (no stage body has run yet): the line must fall
+	// back to program-level counts without panicking or printing a busy
+	// section.
 	cur := Counters{TotalPrograms: 8, Programs: 3, Experiments: 120, Queries: 40}
 	line := RenderProgress(cur, Counters{}, time.Second)
 	if !strings.Contains(line, "progs 3/8") || strings.Contains(line, "busy%") {
-		t.Errorf("monolithic fallback line wrong: %q", line)
+		t.Errorf("no-stages fallback line wrong: %q", line)
 	}
 	// Zero-duration interval and all-zero counters must not divide by zero.
 	line = RenderProgress(Counters{}, Counters{}, 0)

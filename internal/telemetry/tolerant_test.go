@@ -6,8 +6,11 @@ import (
 )
 
 func TestReadTraceTolerant(t *testing.T) {
+	// The third record carries the retired portfolio fields "winner" and
+	// "shared_clauses" that v3–v5 traces could hold: it must still parse.
 	good := `{"v":4,"kind":"campaign","ts_us":1,"name":"c","programs":2}
 {"v":4,"kind":"query","ts_us":2,"status":"sat","dur_us":100}
+{"v":5,"kind":"query","ts_us":3,"status":"unsat","dur_us":90,"winner":2,"shared_clauses":5}
 `
 	cases := []struct {
 		name     string
@@ -16,9 +19,9 @@ func TestReadTraceTolerant(t *testing.T) {
 		wantTorn int
 		wantErr  string
 	}{
-		{"clean", good, 2, 0, ""},
-		{"torn final line", good + `{"v":4,"kind":"verd`, 2, 1, ""},
-		{"torn final after newline gap", good + "\n" + `{"v":4,"ki`, 2, 1, ""},
+		{"clean", good, 3, 0, ""},
+		{"torn final line", good + `{"v":4,"kind":"verd`, 3, 1, ""},
+		{"torn final after newline gap", good + "\n" + `{"v":4,"ki`, 3, 1, ""},
 		{"mid-file corruption is fatal", `{"v":4,"kind":"camp` + "\n" + good, 0, 0, "line 1"},
 		{"kindless final line is fatal", good + `{"v":4,"ts_us":3}`, 0, 0, "without kind"},
 		{"newer schema is fatal", good + `{"v":99,"kind":"query","ts_us":3}`, 0, 0, "newer than supported"},

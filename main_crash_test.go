@@ -26,7 +26,7 @@ func TestMain(m *testing.M) {
 // Exit codes mirror cmd/scamv: 0 complete, 3 drained (resumable), 1 error,
 // 130 on a second interrupt.
 func crashChild(dir string) int {
-	e := crashCampaign(os.Getenv("SCAMV_CRASH_MONO") == "1")
+	e := crashCampaign()
 	if os.Getenv("SCAMV_CRASH_ARM") == "1" {
 		e.Drain = scamv.ArmShutdown(nil, func() { os.Exit(130) })
 	}

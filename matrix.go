@@ -21,9 +21,9 @@ import (
 //     architectural state, not the microarchitecture), so the suite is
 //     generated ONCE and its cost amortized over all K platforms.
 //   - Execution is batched per test case: the K platform runs of a test
-//     execute back to back inside the Execute stage, so both engines (staged
-//     and monolithic) batch identically and a K-platform matrix costs one
-//     generation plus K executions — far below K independent campaigns.
+//     execute back to back inside the Execute stage, so a K-platform matrix
+//     costs one generation plus K executions — far below K independent
+//     campaigns.
 //   - Platform 0 is the campaign's primary row: its verdicts feed the
 //     top-level Result exactly as a single-platform campaign's would, so a
 //     matrix whose first platform is the default config reproduces today's

@@ -122,32 +122,28 @@ func TestMatrixGolden(t *testing.T) {
 	}
 }
 
-// TestMatrixStagedMatchesMonolithic: the batch loop lives in the shared
-// Execute stage body, so the two engines must produce identical matrix rows,
-// sequentially and with stage overlap.
-func TestMatrixStagedMatchesMonolithic(t *testing.T) {
+// TestMatrixParallelEquivalence: the batch loop lives in the Execute stage
+// body, so the matrix rows must not depend on how many programs are in
+// flight: sequential and overlapped (Parallel = 4) campaigns agree row for
+// row.
+func TestMatrixParallelEquivalence(t *testing.T) {
+	rows := make(map[int][]PlatformResult)
 	for _, parallel := range []int{1, 4} {
-		mono := matrixCampaign(t)
-		mono.Monolithic = true
-		mono.Parallel = parallel
-		rm, err := Run(mono)
+		e := matrixCampaign(t)
+		e.Parallel = parallel
+		r, err := Run(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		staged := matrixCampaign(t)
-		staged.Parallel = parallel
-		rs, err := Run(staged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rm.Matrix) != len(rs.Matrix) {
-			t.Fatalf("parallel=%d: row counts differ: %d vs %d", parallel, len(rm.Matrix), len(rs.Matrix))
-		}
-		for i := range rm.Matrix {
-			if platformCounts(rm.Matrix[i]) != platformCounts(rs.Matrix[i]) {
-				t.Errorf("parallel=%d: row %d diverges:\nmonolithic %+v\nstaged     %+v",
-					parallel, i, rm.Matrix[i], rs.Matrix[i])
-			}
+		rows[parallel] = r.Matrix
+	}
+	seq, par := rows[1], rows[4]
+	if len(seq) != len(par) {
+		t.Fatalf("row counts differ: %d vs %d", len(seq), len(par))
+	}
+	for i := range seq {
+		if platformCounts(seq[i]) != platformCounts(par[i]) {
+			t.Errorf("row %d diverges:\nparallel 1 %+v\nparallel 4 %+v", i, seq[i], par[i])
 		}
 	}
 }

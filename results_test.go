@@ -112,8 +112,8 @@ func TestRepairReportString(t *testing.T) {
 }
 
 func TestFormatStagesEdgeCases(t *testing.T) {
-	// Empty stage spine (monolithic engine): no block at all.
-	if got := FormatStages(&Result{Name: "mono"}); got != "" {
+	// Empty stage spine (a Result that never ran the engine): no block at all.
+	if got := FormatStages(&Result{Name: "empty"}); got != "" {
 		t.Errorf("FormatStages with no stages = %q, want empty", got)
 	}
 

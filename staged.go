@@ -19,9 +19,8 @@ import (
 // Every arrow is a bounded channel (backpressure), every box has its own
 // worker pool, and every item is tagged with its program index so Collect
 // merges results in program order — the determinism-by-ordering contract
-// that keeps staged counts seed-for-seed identical to the monolithic
-// engine while test generation for program p+1 overlaps execution of
-// program p.
+// that keeps counts seed-for-seed identical at any Parallel while test
+// generation for program p+1 overlaps execution of program p.
 
 // Payload types flowing between stages. The program index rides inside the
 // payload as well as in the item tag, because Stage.Run only sees the
@@ -79,7 +78,7 @@ func runStaged(ctx context.Context, e *Experiment, res *Result, start time.Time)
 	defer c.Cancel()
 
 	// ProgramGen: single sequential producer owning the template RNG, so
-	// the program sequence is identical to the monolithic engine's. On
+	// the program sequence depends on the seed alone. On
 	// resume, the journal-restored prefix is fast-forwarded here — the RNG
 	// is one sequential stream, so programs [restoredN, Programs) only come
 	// out right after the draws for [0, restoredN) — and the Source then

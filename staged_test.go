@@ -3,49 +3,35 @@ package scamv
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"scamv/internal/gen"
 )
 
-// TestStagedMatchesMonolithicGoldenMLine is the acceptance gate of the
-// staged-engine rework: seed-for-seed identical campaign counts between the
-// monolithic worker pool and the staged pipeline on the golden MLine
-// campaign (mlineCampaign), sequentially and with
-// stage overlap at Parallel = 4.
-func TestStagedMatchesMonolithicGoldenMLine(t *testing.T) {
+// TestStagedParallelGoldenMLine pins the golden MLine campaign
+// (mlineCampaign, two programs) on the staged engine: sequential and with
+// stage overlap at Parallel = 4, the campaigns must log the same test cases
+// and verdicts in the same order, and both must reproduce the pinned counts.
+func TestStagedParallelGoldenMLine(t *testing.T) {
 	base := mlineCampaign()
-	base.Programs = 2 // keep the default test run fast; bench-campaign runs it large
-	for _, parallel := range []int{1, 4} {
-		mono := base
-		mono.Monolithic = true
-		mono.Parallel = parallel
-		rm, err := Run(mono)
-		if err != nil {
-			t.Fatal(err)
-		}
-		staged := base
-		staged.Parallel = parallel
-		rs, err := Run(staged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rm.Programs != rs.Programs || rm.Experiments != rs.Experiments ||
-			rm.Counterexamples != rs.Counterexamples || rm.Inconclusive != rs.Inconclusive ||
-			rm.Queries != rs.Queries || rm.ProgramsWithCounter != rs.ProgramsWithCounter ||
-			rm.EncodeFallbacks != rs.EncodeFallbacks {
-			t.Errorf("parallel=%d: engines diverge:\nmonolithic %+v\nstaged     %+v", parallel, rm, rs)
-		}
-		if rm.Found != rs.Found || rm.FirstCEProgram != rs.FirstCEProgram || rm.FirstCETest != rs.FirstCETest {
-			t.Errorf("parallel=%d: first-counterexample index diverges: p%d/t%d vs p%d/t%d",
-				parallel, rm.FirstCEProgram, rm.FirstCETest, rs.FirstCEProgram, rs.FirstCETest)
-		}
-		if len(rm.Stages) != 0 {
-			t.Error("monolithic engine must not report stage metrics")
-		}
-		if len(rs.Stages) == 0 {
-			t.Error("staged engine must report stage metrics")
+	base.Programs = 2
+	seq := base
+	seq.Parallel = 1
+	r1, log1 := runLogged(t, seq)
+	par := base
+	par.Parallel = 4
+	r4, log4 := runLogged(t, par)
+	if !reflect.DeepEqual(log1, log4) {
+		t.Errorf("parallel 1 vs 4 campaign logs differ (%d vs %d records)", len(log1), len(log4))
+	}
+	for parallel, r := range map[int]*Result{1: r1, 4: r4} {
+		got := [...]int{r.Programs, r.ProgramsWithCounter, r.Experiments, r.Counterexamples,
+			r.Inconclusive, r.Queries, r.EncodeFallbacks, r.FirstCEProgram, r.FirstCETest}
+		if want := [...]int{2, 2, 80, 51, 0, 708, 0, 0, 0}; got != want {
+			t.Errorf("parallel=%d: [programs w/cex experiments cex inconcl queries fallbacks firstP firstT] = %v, want %v",
+				parallel, got, want)
 		}
 	}
 }
@@ -97,11 +83,6 @@ func TestRunContextCancelled(t *testing.T) {
 	_, refined := MCtExperiments(gen.TemplateA{}, 8, 10, 11)
 	if _, err := RunContext(ctx, refined); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// The monolithic engine honors cancellation too.
-	refined.Monolithic = true
-	if _, err := RunContext(ctx, refined); !errors.Is(err, context.Canceled) {
-		t.Fatalf("monolithic err = %v, want context.Canceled", err)
 	}
 }
 
