@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 
 .PHONY: ci build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-cache bench-matrix bench-obs bench-resume bench
 
-ci: build vet race matrix-smoke obs-smoke crash-smoke bench-micro
+ci: build vet race matrix-smoke obs-smoke crash-smoke bench-micro bench
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,8 @@ bench-obs:
 bench-resume:
 	BENCH_RESUME=1 $(GO) test -run TestWriteBenchResume -count=1 -v .
 
-# Full paper-table benchmark suite (one iteration each).
+# Full paper-table benchmark suite (one iteration each), part of make ci so
+# that the ablation rows' assertions (e.g. no counterexamples on a core
+# without speculation or without a prefetcher) keep running.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -323,6 +323,11 @@ func BenchmarkAblation_SpecWindow(b *testing.B) {
 		b.Run(windowName(w), func(b *testing.B) {
 			_, r := MCtExperiments(gen.TemplateA{}, 6, 20, 2021)
 			r.Micro.SpecWindow = w
+			if w == 0 {
+				// WithDefaults reads 0 as unset and fills in the default
+				// window; the sentinel asks for a core that never speculates.
+				r.Micro.SpecWindow = micro.NoSpeculation
+			}
 			var res *Result
 			var err error
 			for i := 0; i < b.N; i++ {

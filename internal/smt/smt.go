@@ -102,8 +102,15 @@ type Handle struct {
 func (h Handle) Names() []string { return h.names }
 
 // New returns a fresh solver.
-func New(opts Options) *Solver {
-	eng := opts.configure(sat.New(opts.Seed))
+func New(opts Options) *Solver { return NewOn(sat.New(opts.Seed), opts) }
+
+// NewOn is New over a recycled backend: eng is Reset to opts.Seed, which
+// makes it equal to a fresh engine while keeping its memory, so the solver
+// behaves exactly as New(opts) would. Nothing else may use eng afterwards,
+// including a solver it served before.
+func NewOn(eng *sat.Solver, opts Options) *Solver {
+	eng.Reset(opts.Seed)
+	opts.configure(eng)
 	return &Solver{
 		sat:      eng,
 		bl:       bitblast.New(eng),

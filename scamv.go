@@ -651,6 +651,7 @@ func generateTests(ctx context.Context, e *Experiment, pl *Pipeline, p int) genO
 	var out genOut
 	spanStart := time.Now()
 	g := pl.generatorCtx(ctx, e, e.Seed+int64(p)+1, p)
+	defer g.Release()
 	for t := 0; t < e.TestsPerProgram; t++ {
 		genStart := time.Now()
 		tc, ok := g.Next()
