@@ -1,9 +1,13 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-cache bench-matrix bench-obs bench-resume bench
+.PHONY: ci fmt build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-cache bench-matrix bench-obs bench-resume bench
 
-ci: build vet race matrix-smoke obs-smoke crash-smoke bench-micro bench
+ci: fmt build vet race matrix-smoke obs-smoke crash-smoke bench-micro bench
+
+# gofmt check over the whole tree, the same check the GitHub workflow runs.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" $$out; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -63,9 +67,11 @@ crash-smoke:
 	$(GO) test -count=1 -run 'TestResume|TestDrain|TestCrash|TestGraceful|TestSecondSignal' .
 
 # Package microbenchmarks at one iteration each, so they keep compiling and
-# running: pair-solver construction (BenchmarkBlastPairRelation) and the
-# per-query loop (BenchmarkPairQuery) in internal/core, plus any other
-# internal package benchmark. Timings here are not gated; run them with a
+# running: pair-solver construction (BenchmarkBlastPairRelation), the
+# per-query loop (BenchmarkPairQuery) and the pair-solver lifecycle
+# (BenchmarkPairSolverLifecycle) in internal/core, the simulated platform's
+# per-test-case run sequence (BenchmarkExecuteCold) in internal/micro, plus
+# any other internal package benchmark. Timings here are not gated; run them with a
 # real -benchtime (and -count) to compare.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/...

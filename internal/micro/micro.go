@@ -243,11 +243,17 @@ type Cache struct {
 	rr    []int      // round-robin victim pointer per set
 	plru  []plruTree // tree-PLRU direction bits per set
 	rng   *rand.Rand
+
+	// dirty lists, once each, the sets filled since the last FlushAll;
+	// inDirty marks them. Every other set holds only zero lines and clear
+	// tree-PLRU bits, so FlushAll and Snapshot visit the listed sets alone.
+	dirty   []int
+	inDirty []bool
 }
 
 // NewCache builds an empty cache.
 func NewCache(cfg Config) *Cache {
-	c := &Cache{cfg: cfg, sets: make([][]cline, cfg.Sets)}
+	c := &Cache{cfg: cfg, sets: make([][]cline, cfg.Sets), inDirty: make([]bool, cfg.Sets)}
 	for i := range c.sets {
 		c.sets[i] = make([]cline, cfg.Ways)
 	}
@@ -324,6 +330,10 @@ func (c *Cache) Access(addr uint64) bool {
 		}
 	}
 	lines[victim] = cline{tag: tag, valid: true, used: c.clock}
+	if !c.inDirty[set] {
+		c.inDirty[set] = true
+		c.dirty = append(c.dirty, set)
+	}
 	if c.plru != nil {
 		c.plru[set].touch(victim)
 	}
@@ -343,12 +353,14 @@ func (c *Cache) Flush(addr uint64) {
 // FlushAll empties the cache and clears the tree-PLRU direction bits (the
 // cold state the platform module restores before every measured run).
 func (c *Cache) FlushAll() {
-	for _, lines := range c.sets {
-		clear(lines)
+	for _, set := range c.dirty {
+		clear(c.sets[set])
+		if c.plru != nil {
+			clear(c.plru[set].bits)
+		}
+		c.inDirty[set] = false
 	}
-	for _, t := range c.plru {
-		clear(t.bits)
-	}
+	c.dirty = c.dirty[:0]
 }
 
 // Present reports whether the line containing addr is cached.
@@ -384,12 +396,12 @@ type Snapshot struct {
 // Snapshot captures the cache state through a view.
 func (c *Cache) Snapshot(v View) *Snapshot {
 	s := &Snapshot{Sets: make(map[int][]uint64)}
-	for i, lines := range c.sets {
+	for _, i := range c.dirty {
 		if v != nil && !v(i) {
 			continue
 		}
 		var tags []uint64
-		for _, l := range lines {
+		for _, l := range c.sets[i] {
 			if l.valid {
 				tags = append(tags, l.tag)
 			}

@@ -122,6 +122,12 @@ type Solver struct {
 	heap     varHeap
 	seen     []bool
 
+	// rebuilt holds the heap slots ResetSearch's last rebuild produced, for
+	// the state rebuiltKey names; boosts counts BoostVar calls for that key.
+	rebuilt    []int32
+	rebuiltKey heapKey
+	boosts     int64
+
 	phase        []int8    // saved phase: 1 true, -1 false, 0 use default
 	baseAct      []float64 // initial activity (BoostVar amounts), for ResetSearch
 	DefaultPhase bool      // initial polarity for decisions (false = assign 0)
@@ -241,6 +247,7 @@ func (s *Solver) Reset(seed int64) {
 			heap: s.heap.heap[:0],
 			pos:  s.heap.pos[:0],
 		},
+		rebuilt:   s.rebuilt[:0],
 		seen:      s.seen[:0],
 		phase:     s.phase[:0],
 		baseAct:   s.baseAct[:0],
@@ -566,6 +573,7 @@ func (s *Solver) decayActivities() { s.varInc /= varDecay }
 func (s *Solver) BoostVar(v int, amount float64) {
 	s.activity[v] += s.varInc * amount
 	s.baseAct[v] += amount
+	s.boosts++
 	s.heap.update(v)
 }
 
@@ -577,13 +585,32 @@ func (s *Solver) BoostVar(v int, amount float64) {
 // on one solver (e.g. per-coverage-class checks under assumptions) use it so
 // each query finds the same minimal-model-style answer a fresh solver over
 // the same CNF would, instead of inheriting the previous query's phases.
+//
+// The heap rebuild is a pure function of the variable count, the level-0
+// trail and the base activities. Between Resets the level-0 trail only
+// grows and only BoostVar changes a base activity, so the trail's length
+// and a count of BoostVar calls name them. While that key is unchanged the
+// rebuild's previous slots are copied back instead of sifting every
+// unassigned variable in again. The variables they leave out, those on the
+// level-0 trail, keep position -1 from that rebuild: no insert reaches a
+// level-0 variable, and a newly assigned one would change the key.
 func (s *Solver) ResetSearch(seed int64) {
 	s.cancelUntil(0)
 	s.rng.Seed(seed) // a lazyrand stream: reseeding is cheap and stream-identical
 	s.varInc = 1
 	clear(s.phase)
 	copy(s.activity, s.baseAct)
+	key := heapKey{vars: len(s.assigns), trail0: len(s.trail), boosts: s.boosts}
+	if key == s.rebuiltKey {
+		s.heap.heap = append(s.heap.heap[:0], s.rebuilt...)
+		for i, v := range s.heap.heap {
+			s.heap.pos[v] = int32(i)
+		}
+		return
+	}
 	s.heap.rebuild(s.assigns)
+	s.rebuilt = append(s.rebuilt[:0], s.heap.heap...)
+	s.rebuiltKey = key
 }
 
 func (s *Solver) cancelUntil(lvl int32) {
@@ -606,7 +633,15 @@ func (s *Solver) cancelUntil(lvl int32) {
 	s.qhead = len(s.trail)
 }
 
+// pickBranchVar pops the most active unassigned variable, or returns -1
+// when every variable is assigned. A full trail says so at once: the heap
+// then holds only assigned variables, which popping one by one would
+// discard in the same final state, an empty heap.
 func (s *Solver) pickBranchVar() int {
+	if len(s.trail) == len(s.assigns) {
+		s.heap.clear()
+		return -1
+	}
 	for !s.heap.empty() {
 		v := s.heap.pop()
 		if s.assigns[v] == 0 {
@@ -799,6 +834,14 @@ func (h *varHeap) insert(v int) {
 	h.up(len(h.heap) - 1)
 }
 
+// clear empties the heap.
+func (h *varHeap) clear() {
+	for _, v := range h.heap {
+		h.pos[v] = -1
+	}
+	h.heap = h.heap[:0]
+}
+
 func (h *varHeap) update(v int) {
 	if h.contains(v) {
 		h.up(int(h.pos[v]))
@@ -867,4 +910,12 @@ func (h *varHeap) down(i int) {
 	}
 	h.heap[i] = v
 	h.pos[v] = int32(i)
+}
+
+// heapKey is the state varHeap.rebuild is a function of, as ResetSearch
+// tracks it: the variable count, the level-0 trail length and the number of
+// BoostVar calls.
+type heapKey struct {
+	vars, trail0 int
+	boosts       int64
 }

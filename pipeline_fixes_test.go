@@ -163,3 +163,42 @@ func TestEncodeRoundTripConsistency(t *testing.T) {
 		t.Fatalf("stride programs round-trip cleanly, got %d fallbacks", res.EncodeFallbacks)
 	}
 }
+
+// TestTrainingStatesSolveOncePerPath checks that a program's training states
+// are solved once per test path, including a path with no feasible
+// alternative: a straight-line program has one path, so its training state
+// is missing, and every later test case on that path must reuse the miss.
+func TestTrainingStatesSolveOncePerPath(t *testing.T) {
+	straight := arm.NewProgram("straight")
+	straight.Add(
+		arm.Instr{Op: arm.LDRR, Rd: 1, Rn: 2, Rm: 3},
+		arm.Instr{Op: arm.HLT},
+	)
+	for _, c := range []struct {
+		prog        *arm.Program
+		paths       []int
+		wantSolves  int
+		wantMissing bool
+	}{
+		{straight, []int{0, 0, 0, 0}, 1, true},
+		{gen.TemplateA{}.Generate(rand.New(rand.NewSource(1)), 0), []int{0, 1, 0, 1, 1}, 2, false},
+	} {
+		pl, err := NewPipeline(c.prog, &obs.MCt{Geom: obs.DefaultGeometry, Spec: obs.SpecAll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solves := 0
+		ts := trainingStates{byPath: map[int]*core.State{}, solve: func(path int) (*core.State, bool) {
+			solves++
+			return pl.TrainingState(path, 1)
+		}}
+		for _, path := range c.paths {
+			if st := ts.get(path); (st == nil) != c.wantMissing {
+				t.Fatalf("%s path %d: training state %v, want missing %v", c.prog.Name, path, st, c.wantMissing)
+			}
+		}
+		if solves != c.wantSolves {
+			t.Errorf("%s: %d training-state solves for paths %v, want %d", c.prog.Name, solves, c.paths, c.wantSolves)
+		}
+	}
+}

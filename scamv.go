@@ -447,8 +447,10 @@ func (pl *Pipeline) generatorCtx(ctx context.Context, e *Experiment, programSeed
 	})
 }
 
-// TrainingState returns (and caches per path) the predictor-training state
-// for a test case whose states take the given path.
+// TrainingState returns the predictor-training state for a test case whose
+// states take the given path: a model of the first other path condition
+// that is satisfiable, solved afresh on every call. ok is false when no
+// other path is feasible.
 func (pl *Pipeline) TrainingState(path int, seed int64) (*core.State, bool) {
 	return core.TrainingState(pl.Paths, path, pl.Registers, seed)
 }
@@ -669,6 +671,24 @@ func generateTests(ctx context.Context, e *Experiment, pl *Pipeline, p int) genO
 	return out
 }
 
+// trainingStates memoizes one program's training states by test path. A
+// path with no feasible alternative is remembered as nil, so its later test
+// cases do not solve every other path condition again.
+type trainingStates struct {
+	solve  func(path int) (*core.State, bool)
+	byPath map[int]*core.State
+}
+
+// get returns the training state for path, nil when there is none.
+func (ts *trainingStates) get(path int) *core.State {
+	if st, ok := ts.byPath[path]; ok {
+		return st
+	}
+	st, _ := ts.solve(path)
+	ts.byPath[path] = st
+	return st
+}
+
 // executeProgram is the Execute stage body: it runs every generated test
 // case of program p on the platform and classifies the verdicts. Under
 // FailPolicy Degrade a test whose retry budget is exhausted becomes a skip
@@ -694,17 +714,14 @@ func executeProgram(ctx context.Context, e *Experiment, pl *Pipeline, p int, g g
 	}
 	platformName := func(k int) string { return e.Platforms[k].Name }
 	spanStart := time.Now()
-	trainCache := map[int]*core.State{}
+	trainStates := trainingStates{byPath: map[int]*core.State{}, solve: func(path int) (*core.State, bool) {
+		return pl.TrainingState(path, e.Seed+int64(p))
+	}}
 	consecutive := 0
 	for t, tc := range g.tests {
 		var train *core.State
 		if e.Speculative {
-			if cached, ok := trainCache[tc.PathA]; ok {
-				train = cached
-			} else if st, ok := pl.TrainingState(tc.PathA, e.Seed+int64(p)); ok {
-				train = st
-				trainCache[tc.PathA] = st
-			}
+			train = trainStates.get(tc.PathA)
 		}
 		exeStart := time.Now()
 		verdict, stats, err := pl.executeTestCase(ctx, primary, p, t, tc, train, noiseSeed(e.Seed, p, t))
