@@ -41,8 +41,11 @@ fuzz-smoke:
 
 # Matrix smoke: the platform-zoo battery under the race detector — a tiny
 # 3-platform (a53/a72/m0) campaign checked for golden byte identity,
-# Parallel 1 vs 4 row equality, per-platform log/telemetry records, and
-# the cross-platform differential oracle with its injected-bug teeth test.
+# Parallel 1 vs 4 row equality, per-platform log/telemetry records, the
+# same Parallel 1 vs 4 check over a platform of every predictor kind and
+# replacement policy (a53, a53-prand, a53-bimodal, a53-gshare, a53-plru,
+# a72, m0: the pooled machines' training memo), and the cross-platform
+# differential oracle with its injected-bug teeth test.
 matrix-smoke:
 	$(GO) test -race -count=1 -run 'TestMatrix|TestFormatTableRendersMatrix' .
 	$(GO) test -race -count=1 -run 'TestDiffProgramMatrix' ./internal/oracle
@@ -70,8 +73,10 @@ crash-smoke:
 # running: pair-solver construction (BenchmarkBlastPairRelation), the
 # per-query loop (BenchmarkPairQuery) and the pair-solver lifecycle
 # (BenchmarkPairSolverLifecycle) in internal/core, the simulated platform's
-# per-test-case run sequence (BenchmarkExecuteCold) in internal/micro, plus
-# any other internal package benchmark. Timings here are not gated; run them with a
+# call that trains from scratch (BenchmarkExecuteCold) and its whole test
+# case, one training and Repeats × 2 measured calls
+# (BenchmarkExecuteTestCase), in internal/micro, plus any other internal
+# package benchmark. Timings here are not gated; run them with a
 # real -benchtime (and -count) to compare.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/...

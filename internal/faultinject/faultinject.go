@@ -258,27 +258,22 @@ func corrupt(m scamv.Measurement) scamv.Measurement {
 	if m.Snapshot == nil {
 		return out
 	}
-	sets := make(map[int][]uint64, len(m.Snapshot.Sets))
-	for set, tags := range m.Snapshot.Sets {
-		sets[set] = append([]uint64(nil), tags...)
-	}
-	perturbed := false
-	// Flip the first tag of the lowest populated set (map iteration is not
-	// deterministic, so pick by order, not by range).
-	lo := -1
-	for set, tags := range sets {
-		if len(tags) > 0 && (lo == -1 || set < lo) {
-			lo = set
+	out.Snapshot = m.Snapshot.Clone()
+	sets := out.Snapshot.Sets
+	// Flip the first tag of the lowest populated set (sets are in
+	// ascending order).
+	for i := range sets {
+		if len(sets[i].Tags) > 0 {
+			sets[i].Tags[0] ^= 1
+			return out
 		}
 	}
-	if lo >= 0 {
-		sets[lo][0] ^= 1
-		perturbed = true
+	// Empty view: invent a phantom line in set 0, the lowest set.
+	phantom := micro.SetTags{Set: 0, Tags: []uint64{0xdead}}
+	if len(sets) > 0 && sets[0].Set == 0 {
+		sets[0] = phantom
+	} else {
+		out.Snapshot.Sets = append([]micro.SetTags{phantom}, sets...)
 	}
-	if !perturbed {
-		// Empty view: invent a phantom line.
-		sets[0] = []uint64{0xdead}
-	}
-	out.Snapshot = &micro.Snapshot{Sets: sets}
 	return out
 }

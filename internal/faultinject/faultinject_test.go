@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func (s *stubPlatform) Execute(_ context.Context, _ *scamv.Experiment, _ *arm.Pr
 	s.calls++
 	return scamv.Measurement{
 		Cycles:   100,
-		Snapshot: &micro.Snapshot{Sets: map[int][]uint64{3: {0x40, 0x41}}},
+		Snapshot: &micro.Snapshot{Sets: []micro.SetTags{{Set: 3, Tags: []uint64{0x40, 0x41}}}},
 	}, nil
 }
 
@@ -211,13 +212,20 @@ func TestCorruptIsDistinguishable(t *testing.T) {
 		t.Fatal("corrupted measurement is indistinguishable from the clean one")
 	}
 	// The original snapshot must not be mutated in place.
-	if clean.Snapshot.Sets[3][0] != 0x40 {
+	if clean.Snapshot.Tags(3)[0] != 0x40 {
 		t.Fatal("corrupt mutated the inner measurement's snapshot")
 	}
 
+	// The first tag of the lowest populated set is the one flipped.
+	two := &micro.Snapshot{Sets: []micro.SetTags{{Set: 5, Tags: []uint64{8, 9}}, {Set: 9, Tags: []uint64{4}}}}
+	flipped := corrupt(scamv.Measurement{Snapshot: two}).Snapshot
+	if !reflect.DeepEqual(flipped.Sets, []micro.SetTags{{Set: 5, Tags: []uint64{9, 9}}, {Set: 9, Tags: []uint64{4}}}) {
+		t.Fatalf("corrupt produced %v", flipped.Sets)
+	}
+
 	// An empty snapshot grows a phantom line instead of staying equal.
-	out := corrupt(scamv.Measurement{Cycles: 5, Snapshot: &micro.Snapshot{Sets: map[int][]uint64{}}})
-	if len(out.Snapshot.Sets[0]) == 0 {
+	out := corrupt(scamv.Measurement{Cycles: 5, Snapshot: &micro.Snapshot{}})
+	if len(out.Snapshot.Tags(0)) == 0 {
 		t.Fatal("corrupting an empty snapshot produced no phantom line")
 	}
 }

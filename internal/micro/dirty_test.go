@@ -9,7 +9,7 @@ import (
 // scanSnapshot is Snapshot by a scan of every set, the reference the
 // dirty-list Snapshot must equal.
 func scanSnapshot(c *Cache, v View) *Snapshot {
-	s := &Snapshot{Sets: make(map[int][]uint64)}
+	s := &Snapshot{}
 	for i, lines := range c.sets {
 		if v != nil && !v(i) {
 			continue
@@ -22,7 +22,7 @@ func scanSnapshot(c *Cache, v View) *Snapshot {
 		}
 		if len(tags) > 0 {
 			slices.Sort(tags)
-			s.Sets[i] = tags
+			s.Sets = append(s.Sets, SetTags{Set: i, Tags: tags})
 		}
 	}
 	return s

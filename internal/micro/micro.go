@@ -26,10 +26,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strconv"
 
 	"scamv/internal/arm"
-	"scamv/internal/expr"
 	"scamv/internal/lazyrand"
 )
 
@@ -243,6 +241,7 @@ type Cache struct {
 	rr    []int      // round-robin victim pointer per set
 	plru  []plruTree // tree-PLRU direction bits per set
 	rng   *rand.Rand
+	draws int // pseudo-random victim draws since the last reset
 
 	// dirty lists, once each, the sets filled since the last FlushAll;
 	// inDirty marks them. Every other set holds only zero lines and clear
@@ -281,6 +280,7 @@ func (c *Cache) reset() {
 	if c.rng != nil {
 		c.rng.Seed(c.cfg.ReplacementSeed)
 	}
+	c.draws = 0
 }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
@@ -318,6 +318,7 @@ func (c *Cache) Access(addr uint64) bool {
 			c.rr[set] = (c.rr[set] + 1) % c.cfg.Ways
 		case PseudoRandom:
 			victim = c.rng.Intn(c.cfg.Ways)
+			c.draws++
 		case TreePLRU:
 			victim = c.plru[set].victim()
 		default: // LRU
@@ -388,49 +389,75 @@ func RangeView(lo, hi int) View {
 }
 
 // Snapshot is the observable final cache state: the sorted valid tags of
-// each visible set. Two runs are distinguishable iff their snapshots differ.
+// each visible set, in ascending set order, with no empty sets. Two runs are
+// distinguishable iff their snapshots differ.
 type Snapshot struct {
-	Sets map[int][]uint64
+	Sets []SetTags
 }
 
-// Snapshot captures the cache state through a view.
+// SetTags is one cache set of a Snapshot.
+type SetTags struct {
+	Set  int
+	Tags []uint64
+}
+
+// Snapshot captures the cache state through a view. The tags of every set
+// share one backing array.
 func (c *Cache) Snapshot(v View) *Snapshot {
-	s := &Snapshot{Sets: make(map[int][]uint64)}
+	s := &Snapshot{}
+	var tags []uint64
 	for _, i := range c.dirty {
 		if v != nil && !v(i) {
 			continue
 		}
-		var tags []uint64
+		if tags == nil {
+			s.Sets = make([]SetTags, 0, len(c.dirty))
+			tags = make([]uint64, 0, len(c.dirty)*c.cfg.Ways)
+		}
+		start := len(tags)
 		for _, l := range c.sets[i] {
 			if l.valid {
 				tags = append(tags, l.tag)
 			}
 		}
-		if len(tags) > 0 {
-			slices.Sort(tags)
-			s.Sets[i] = tags
+		if len(tags) > start {
+			slices.Sort(tags[start:])
+			s.Sets = append(s.Sets, SetTags{Set: i, Tags: tags[start:len(tags):len(tags)]})
 		}
 	}
+	slices.SortFunc(s.Sets, func(a, b SetTags) int { return a.Set - b.Set })
 	return s
+}
+
+// Tags returns the tags of one set, nil when the set holds none.
+func (s *Snapshot) Tags(set int) []uint64 {
+	if i, ok := slices.BinarySearchFunc(s.Sets, set, func(st SetTags, set int) int { return st.Set - set }); ok {
+		return s.Sets[i].Tags
+	}
+	return nil
+}
+
+// Clone deep-copies the snapshot.
+func (s *Snapshot) Clone() *Snapshot {
+	n := 0
+	for _, st := range s.Sets {
+		n += len(st.Tags)
+	}
+	tags := make([]uint64, 0, n)
+	out := &Snapshot{Sets: make([]SetTags, len(s.Sets))}
+	for i, st := range s.Sets {
+		start := len(tags)
+		tags = append(tags, st.Tags...)
+		out.Sets[i] = SetTags{Set: st.Set, Tags: tags[start:len(tags):len(tags)]}
+	}
+	return out
 }
 
 // Equal reports whether two snapshots are identical.
 func (s *Snapshot) Equal(o *Snapshot) bool {
-	if len(s.Sets) != len(o.Sets) {
-		return false
-	}
-	for set, tags := range s.Sets {
-		ot, ok := o.Sets[set]
-		if !ok || len(ot) != len(tags) {
-			return false
-		}
-		for i := range tags {
-			if tags[i] != ot[i] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(s.Sets, o.Sets, func(a, b SetTags) bool {
+		return a.Set == b.Set && slices.Equal(a.Tags, b.Tags)
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -525,10 +552,14 @@ func (b *BranchPredictor) Update(pc int, taken bool) {
 
 // Machine is the simulated core plus memory.
 type Machine struct {
-	Cfg   Config
-	Regs  [arm.NumRegs]uint64
-	mem   map[uint64]uint64
-	memDf uint64
+	Cfg  Config
+	Regs [arm.NumRegs]uint64
+
+	// Memory is the loaded state's words, read in place, under the stores
+	// executed since the load.
+	words  []memWord
+	stores map[uint64]uint64
+	memDf  uint64
 
 	Cache *Cache
 	PF    *Prefetcher
@@ -548,81 +579,33 @@ type Machine struct {
 	trace  *Trace
 	curPC  int
 	inSpec bool
+
+	memo trainMemo // the last training sequence (see Train)
 }
 
 // New builds a machine with cold microarchitectural state.
 func New(cfg Config) *Machine {
 	return &Machine{
-		Cfg:   cfg,
-		mem:   make(map[uint64]uint64),
-		Cache: NewCache(cfg),
-		PF:    NewPrefetcher(cfg),
-		BP:    NewPredictor(cfg),
+		Cfg:    cfg,
+		stores: make(map[uint64]uint64),
+		Cache:  NewCache(cfg),
+		PF:     NewPrefetcher(cfg),
+		BP:     NewPredictor(cfg),
 	}
 }
 
 // Reset restores exactly the state New builds — cold cache, prefetcher and
 // predictor, empty memory, zero registers and counters, no trace attached —
 // while keeping the machine's storage, so a pooled machine can stand in for
-// a fresh one.
+// a fresh one. The training memo is kept: it is a cache, not state.
 func (m *Machine) Reset() {
-	m.Regs = [arm.NumRegs]uint64{}
-	clear(m.mem)
-	m.memDf = 0
+	m.unload()
 	m.Cache.reset()
 	m.PF.Reset()
 	m.BP.Reset()
 	m.Cycles, m.TransientLoads, m.Mispredicts = 0, 0, 0
 	m.ccA, m.ccB = 0, 0
 	m.trace, m.curPC, m.inSpec = nil, 0, false
-}
-
-// LoadState installs the architectural state of a test case: register
-// values by name ("x0".."x30") and the initial memory image.
-func (m *Machine) LoadState(regs map[string]uint64, mem *expr.MemModel) error {
-	m.Regs = [arm.NumRegs]uint64{}
-	for name, v := range regs {
-		if len(name) < 2 || name[0] != 'x' {
-			continue // ghost/shadow registers are not architectural
-		}
-		n, err := strconv.Atoi(name[1:])
-		if err != nil || n < 0 || n > 30 {
-			return fmt.Errorf("micro: bad register name %q", name)
-		}
-		m.Regs[n] = v
-	}
-	clear(m.mem)
-	m.memDf = 0
-	if mem != nil {
-		m.memDf = mem.Default
-		for a, v := range mem.Data {
-			m.mem[a] = v
-		}
-	}
-	return nil
-}
-
-// ReadMem returns the memory word at addr.
-func (m *Machine) ReadMem(addr uint64) uint64 {
-	if v, ok := m.mem[addr]; ok {
-		return v
-	}
-	return m.memDf
-}
-
-// WriteMem sets the memory word at addr.
-func (m *Machine) WriteMem(addr, v uint64) { m.mem[addr] = v }
-
-// MemSnapshot copies the architectural memory image — the initial words
-// installed by LoadState overlaid with every store executed since — as a
-// concrete memory model. The differential oracle compares it against the
-// symbolic executor's final memory.
-func (m *Machine) MemSnapshot() *expr.MemModel {
-	mm := expr.NewMemModel(m.memDf)
-	for a, v := range m.mem {
-		mm.Set(a, v)
-	}
-	return mm
 }
 
 // ResetMicro restores cold cache and prefetcher state (the platform module

@@ -27,12 +27,12 @@ func TestCacheInvariants(t *testing.T) {
 			return false
 		}
 		snap := c.Snapshot(FullView)
-		for set, tags := range snap.Sets {
-			if len(tags) > cfg.Ways {
+		for _, st := range snap.Sets {
+			if len(st.Tags) > cfg.Ways {
 				return false
 			}
-			for _, tag := range tags {
-				line := tag*uint64(cfg.Sets) + uint64(set)
+			for _, tag := range st.Tags {
+				line := tag*uint64(cfg.Sets) + uint64(st.Set)
 				if !seen[line] {
 					return false
 				}

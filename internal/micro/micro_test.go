@@ -63,7 +63,7 @@ func TestSnapshotViews(t *testing.T) {
 	if len(ar.Sets) != 1 {
 		t.Fatalf("AR view: %d sets", len(ar.Sets))
 	}
-	if _, ok := ar.Sets[70]; !ok {
+	if ar.Tags(70) == nil {
 		t.Error("set 70 should be visible in AR view")
 	}
 	// Equality.

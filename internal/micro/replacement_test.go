@@ -203,7 +203,7 @@ func TestReplacementPoliciesRespectAssociativity(t *testing.T) {
 				if !c.Present(addr) {
 					return false
 				}
-				if tags := c.Snapshot(FullView).Sets[0]; len(tags) > cfg.Ways {
+				if tags := c.Snapshot(FullView).Tags(0); len(tags) > cfg.Ways {
 					return false
 				}
 			}

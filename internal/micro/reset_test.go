@@ -63,6 +63,14 @@ func runCase(m *micro.Machine, r *rand.Rand, noiseSeed int64) observed {
 			return fail(err)
 		}
 	}
+	return measureCase(m, p, regs, mem, r, noiseSeed, o)
+}
+
+// measureCase completes o with a cold-cache measured run of the state
+// (regs, mem) with noise, as the simulated platform runs it after training,
+// and the conflict sweep, whose tags r draws.
+func measureCase(m *micro.Machine, p *arm.Program, regs map[string]uint64, mem *expr.MemModel, r *rand.Rand, noiseSeed int64, o observed) observed {
+	fail := func(err error) observed { o.Err = err.Error(); return o }
 	if err := m.LoadState(regs, mem); err != nil {
 		return fail(err)
 	}
@@ -133,7 +141,7 @@ func TestResetMatchesNew(t *testing.T) {
 }
 
 func show(o observed) string {
-	var sets map[int][]uint64
+	var sets []micro.SetTags
 	if o.Snapshot != nil {
 		sets = o.Snapshot.Sets
 	}

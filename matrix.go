@@ -133,6 +133,7 @@ func buildMatrix(e *Experiment) error {
 		seen[spec.Name] = true
 		pe := *e
 		pe.Micro = spec.Micro.WithDefaults()
+		pe.machines = machinesFor(pe.Micro)
 		// A clone is a plain single-platform experiment: it must not carry
 		// the matrix fields of the campaign it serves.
 		pe.Platforms, pe.matrixExps = nil, nil

@@ -127,9 +127,31 @@ func TestMatrixGolden(t *testing.T) {
 // flight: sequential and overlapped (Parallel = 4) campaigns agree row for
 // row.
 func TestMatrixParallelEquivalence(t *testing.T) {
+	checkMatrixParallel(t, matrixCampaign(t))
+}
+
+// TestMatrixZooParallelEquivalence repeats the check over a platform of
+// every predictor kind and replacement policy. Pooled machines memoize
+// their predictor training per (program, training state), and under
+// Parallel = 4 a machine serves interleaved programs, so every kind of
+// training state the memo restores is exercised (under -race in make
+// matrix-smoke).
+func TestMatrixZooParallelEquivalence(t *testing.T) {
+	e := matrixCampaign(t)
+	specs, err := PlatformsFromPresets("a53", "a53-prand", "a53-bimodal", "a53-gshare", "a53-plru", "a72", "m0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Platforms = specs
+	checkMatrixParallel(t, e)
+}
+
+// checkMatrixParallel runs a matrix campaign at Parallel 1 and 4 and
+// compares the rows.
+func checkMatrixParallel(t *testing.T, e Experiment) {
+	t.Helper()
 	rows := make(map[int][]PlatformResult)
 	for _, parallel := range []int{1, 4} {
-		e := matrixCampaign(t)
 		e.Parallel = parallel
 		r, err := Run(e)
 		if err != nil {
@@ -138,8 +160,8 @@ func TestMatrixParallelEquivalence(t *testing.T) {
 		rows[parallel] = r.Matrix
 	}
 	seq, par := rows[1], rows[4]
-	if len(seq) != len(par) {
-		t.Fatalf("row counts differ: %d vs %d", len(seq), len(par))
+	if len(seq) != len(e.Platforms) || len(seq) != len(par) {
+		t.Fatalf("row counts differ: %d vs %d for %d platforms", len(seq), len(par), len(e.Platforms))
 	}
 	for i := range seq {
 		if platformCounts(seq[i]) != platformCounts(par[i]) {

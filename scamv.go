@@ -209,6 +209,11 @@ type Experiment struct {
 	// shapeCache is the campaign's shared prototype cache, created by
 	// RunContext when SharedCache is set.
 	shapeCache *smt.ShapeCache
+
+	// machines is SimPlatform's machine pool for Micro, resolved once by
+	// RunContext (and by buildMatrix for each platform clone) so Execute
+	// need not look it up on every call.
+	machines *machinePool
 }
 
 func (e *Experiment) platform() Platform {
@@ -489,25 +494,71 @@ type Platform interface {
 // SimPlatform runs experiments on the internal/micro simulator.
 type SimPlatform struct{}
 
-// machinePools keeps one pool of simulated machines per core configuration.
-// Execution is the innermost loop of a campaign (Repeats × 2 runs per test
-// case, per platform), and building a machine allocates its whole cache;
-// a pooled machine is Reset to exactly the state micro.New builds instead.
+// machinePools keeps one pool of simulated machines per core configuration,
+// shared by every campaign. Execution is the innermost loop of a campaign:
+// a test case takes Repeats × 2 calls per platform, each TrainRuns training
+// runs and a measured run, so Repeats × 2 × (TrainRuns+1) runs in all.
+// Building a machine allocates its whole cache, so a pooled machine is
+// Reset to exactly the state micro.New builds instead. It also keeps its
+// training memo (micro.Machine.Train) and the states it compiled, so the
+// training runs are simulated once per test case, not once per call.
 var (
 	machinePoolsMu sync.Mutex
-	machinePools   = map[micro.Config]*sync.Pool{}
+	machinePools   = map[micro.Config]*machinePool{}
 )
 
-// machinePool returns the machine pool for cfg, creating it on first use.
-func machinePool(cfg micro.Config) *sync.Pool {
+// machinePool is the pool of simulated machines for one core configuration.
+type machinePool struct {
+	cfg  micro.Config
+	pool sync.Pool
+}
+
+// machinesFor returns the machine pool for cfg, creating it on first use.
+// Campaigns resolve it once per experiment (Experiment.machines).
+func machinesFor(cfg micro.Config) *machinePool {
 	machinePoolsMu.Lock()
 	defer machinePoolsMu.Unlock()
 	p := machinePools[cfg]
 	if p == nil {
-		p = &sync.Pool{New: func() any { return micro.New(cfg) }}
+		p = &machinePool{cfg: cfg}
+		p.pool.New = func() any { return &simMachine{m: micro.New(cfg)} }
 		machinePools[cfg] = p
 	}
 	return p
+}
+
+// simMachine is a pooled machine with the three states it ran most
+// recently, compiled: a test case's training state and its two measured
+// states. Handing the machine the same compiled training state on every
+// call of a test case is what lets its training memo hit. A core.State is
+// taken to be immutable once executed.
+type simMachine struct {
+	m      *micro.Machine
+	states [3]compiledState // most recently used first
+}
+
+type compiledState struct {
+	src *core.State
+	c   *micro.State
+}
+
+// compile returns the compiled form of s, compiling it on a miss.
+func (sm *simMachine) compile(s *core.State) (*micro.State, error) {
+	i := 0
+	for i < len(sm.states)-1 && sm.states[i].src != s {
+		i++
+	}
+	hit := sm.states[i]
+	if hit.src != s {
+		c, err := micro.CompileState(s.Regs, s.Mem)
+		if err != nil {
+			return nil, err
+		}
+		hit = compiledState{s, c}
+	}
+	copy(sm.states[1:i+1], sm.states[:i])
+	sm.states[0] = hit
+	return hit.c, nil
 }
 
 // Execute implements Platform. The simulator never blocks, so ctx is only
@@ -516,23 +567,28 @@ func (SimPlatform) Execute(ctx context.Context, e *Experiment, prog *arm.Program
 	if err := ctx.Err(); err != nil {
 		return Measurement{}, err
 	}
-	pool := machinePool(e.Micro)
-	m := pool.Get().(*micro.Machine)
-	defer pool.Put(m)
-	m.Reset()
-	if e.Speculative && train != nil {
-		for i := 0; i < e.TrainRuns; i++ {
-			if err := m.LoadState(train.Regs, train.Mem); err != nil {
-				return Measurement{}, err
-			}
-			if err := m.Run(prog, 0, nil); err != nil {
-				return Measurement{}, err
-			}
+	pool := e.machines
+	if pool == nil || pool.cfg != e.Micro {
+		pool = machinesFor(e.Micro)
+	}
+	sm := pool.pool.Get().(*simMachine)
+	defer pool.pool.Put(sm)
+	m := sm.m
+	var trainState *micro.State
+	if e.Speculative && train != nil && e.TrainRuns > 0 {
+		var err error
+		if trainState, err = sm.compile(train); err != nil {
+			return Measurement{}, err
 		}
 	}
-	if err := m.LoadState(st.Regs, st.Mem); err != nil {
+	if err := m.Train(prog, trainState, e.TrainRuns); err != nil {
 		return Measurement{}, err
 	}
+	s, err := sm.compile(st)
+	if err != nil {
+		return Measurement{}, err
+	}
+	m.Load(s)
 	m.ResetMicro() // the platform module clears the cache before the run
 	if err := m.Run(prog, 0, noise); err != nil {
 		return Measurement{}, err
@@ -939,6 +995,7 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 	if e.SharedCache {
 		e.shapeCache = smt.NewShapeCache()
 	}
+	e.machines = machinesFor(e.Micro)
 	if err := buildMatrix(&e); err != nil {
 		return nil, err
 	}
