@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-cache bench-matrix bench-obs bench-resume bench
+.PHONY: ci fmt build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-matrix bench-obs bench-resume bench
 
 ci: fmt build vet race matrix-smoke obs-smoke crash-smoke bench-micro bench
 
@@ -88,12 +88,6 @@ bench-micro:
 # clock (generation runs once instead of K times).
 bench-matrix:
 	BENCH_MATRIX=1 $(GO) test -run TestWriteBenchMatrix -count=1 -v .
-
-# Shape-cache benchmark: runs the MLine campaign on the plain incremental
-# solver and with the campaign shape cache, and writes BENCH_cache.json (gen
-# time, cache speedup, cache traffic). Fails if the cache changes any count.
-bench-cache:
-	BENCH_CACHE=1 $(GO) test -run TestWriteBenchCache -count=1 -v .
 
 # Telemetry-overhead benchmark: runs the MLine campaign with a full JSONL
 # tracer attached vs a nil tracer and writes BENCH_telemetry.json (wall

@@ -45,7 +45,6 @@ type fingerprintConfig struct {
 	TimingAttacker  bool    `json:"timing_attacker"`
 	RandomPhaseProb float64 `json:"random_phase_prob"`
 	MaxConflicts    int64   `json:"max_conflicts"`
-	SharedCache     bool    `json:"shared_cache"`
 	FailPolicy      int     `json:"fail_policy"`
 	QuarantineAfter int     `json:"quarantine_after"`
 	Retries         int     `json:"retries"`
@@ -73,7 +72,6 @@ func journalFingerprint(e *Experiment) string {
 		TimingAttacker:  e.TimingAttacker,
 		RandomPhaseProb: e.RandomPhaseProb,
 		MaxConflicts:    e.MaxConflicts,
-		SharedCache:     e.SharedCache,
 		FailPolicy:      int(e.FailPolicy),
 		QuarantineAfter: e.QuarantineAfter,
 		Retries:         e.Retries,
@@ -111,7 +109,6 @@ func toJournalRecord(p int, out *programResult) journal.ProgramRecord {
 		Quarantined:     out.quarantined,
 		Retries:         out.retries,
 		Timeouts:        out.timeouts,
-		ShapeKeys:       out.shapeKeys,
 		Logs:            out.records,
 	}
 	for _, s := range out.skips {
@@ -151,7 +148,6 @@ func fromJournalRecord(jr journal.ProgramRecord) *programResult {
 		quarantined:     jr.Quarantined,
 		retries:         jr.Retries,
 		timeouts:        jr.Timeouts,
-		shapeKeys:       jr.ShapeKeys,
 		records:         jr.Logs,
 	}
 	for _, s := range jr.Skips {

@@ -76,7 +76,6 @@ func run() int {
 		retries   = flag.Int("retries", 0, "retry budget per execution for transient failures")
 		policy    = flag.String("fail-policy", "failfast", "on exhausted retries: failfast (abort campaign) or degrade (skip and continue)")
 		chaos     = flag.String("chaos", "off", "fault-injection profile: off, light, or heavy (deterministic per -seed)")
-		shared    = flag.Bool("shared-cache", false, "share one blast cache per template shape across the campaign (results identical on or off)")
 		matrix    = flag.Bool("matrix", false, "run each campaign as a platform matrix over -platforms (default a53,a72,m0)")
 		platNames = flag.String("platforms", "", "comma-separated platform presets for the matrix (implies -matrix); see -platforms=help")
 		flightDir = flag.String("flight-dir", "", "arm the anomaly flight recorder; bundles (ring + counters + goroutine dump) land under this directory")
@@ -242,7 +241,6 @@ func run() int {
 		e.ExecTimeout = *execTO
 		e.Retries = *retries
 		e.FailPolicy = failPolicy
-		e.SharedCache = *shared
 		e.Platforms = platforms
 		e.Drain = drain
 		if chaosProf.Name != "off" {

@@ -10,6 +10,7 @@
 package scamv_test
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -50,8 +52,6 @@ type resumeGolden struct {
 	Skips               []scamv.Skip
 	Retries             int
 	Timeouts            int
-	ShapeHits           int64
-	ShapeMisses         int64
 	Matrix              []matrixGolden
 }
 
@@ -84,8 +84,6 @@ func resumeGoldenOf(r *scamv.Result) resumeGolden {
 		Skips:               r.Skips,
 		Retries:             r.Retries,
 		Timeouts:            r.Timeouts,
-		ShapeHits:           r.ShapeHits,
-		ShapeMisses:         r.ShapeMisses,
 	}
 	for i := range r.Matrix {
 		m := &r.Matrix[i]
@@ -104,9 +102,8 @@ func resumeGoldenOf(r *scamv.Result) resumeGolden {
 }
 
 // crashCampaign is the shared campaign under test: small enough for CI,
-// with the acceptance features on — platform matrix and the campaign shape
-// cache. One program larger than the
-// staged pipeline's in-flight capacity (scamv.StageCapacity: 35 programs at
+// with the platform matrix on. One program larger than the staged
+// pipeline's in-flight capacity (scamv.StageCapacity: 35 programs at
 // Parallel 4), so a drain or kill lands while the staged engine still has
 // unproduced programs.
 func crashCampaign() scamv.Experiment {
@@ -114,7 +111,6 @@ func crashCampaign() scamv.Experiment {
 	u.Repeats = 2
 	u.Parallel = 4
 	u.Programs = scamv.StageCapacity(&u) + 1
-	u.SharedCache = true
 	plats, err := scamv.PlatformsFromPresets("a53", "a72")
 	if err != nil {
 		panic(err)
@@ -175,7 +171,7 @@ func loadLogNormalized(t *testing.T, path string) []logdb.Record {
 // TestResumeEquivalence is the crash-safety contract: interrupt
 // a journaled campaign by a graceful drain partway through, resume it in a
 // second "process" (a fresh journal open), and require the stitched Result —
-// counts, matrix rows, skips, shape-cache totals — and the experiment log to
+// counts, matrix rows, skips — and the experiment log to
 // equal an uninterrupted run's. The subtest is named after the engine it
 // exercises, the staged pipeline.
 func TestResumeEquivalence(t *testing.T) {
@@ -197,7 +193,7 @@ func testResumeEquivalence(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if want.Experiments == 0 || want.ShapeMisses == 0 || len(want.Matrix) != 2 {
+	if want.Experiments == 0 || len(want.Matrix) != 2 {
 		t.Fatalf("reference campaign is vacuous: %+v", want)
 	}
 
@@ -332,16 +328,55 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// refused resumes e from jdir and requires the fingerprint mismatch
+	// error, returning its text.
+	refused := func(e scamv.Experiment, what string) string {
+		t.Helper()
+		j, err := journal.Open(jdir, e.Name, journal.Options{Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		e.Journal = j
+		_, err = scamv.Run(e)
+		if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+			t.Fatalf("resume %s: err = %v; want fingerprint mismatch", what, err)
+		}
+		return err.Error()
+	}
+
 	e2 := crashCampaign()
 	e2.Seed++ // count-affecting change
-	j2, err := journal.Open(jdir, e2.Name, journal.Options{Resume: true})
+	refused(e2, "with a different seed")
+
+	// A journal written while the campaign shape cache existed carries
+	// "shared_cache":false in its fingerprint. Restamp this one's header and
+	// checkpoints that way: the unchanged configuration must still refuse it.
+	cdir := filepath.Join(jdir, journal.Sanitize(e1.Name))
+	entries, err := os.ReadDir(cdir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	e2.Journal = j2
-	if _, err := scamv.Run(e2); err == nil {
-		t.Fatalf("resume with a different seed succeeded; want fingerprint mismatch")
+	restamped := 0
+	for _, ent := range entries {
+		path := filepath.Join(cdir, ent.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := bytes.ReplaceAll(data, []byte(`,\"fail_policy\":`), []byte(`,\"shared_cache\":false,\"fail_policy\":`))
+		if !bytes.Equal(legacy, data) {
+			restamped++
+			if err := os.WriteFile(path, legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if restamped == 0 {
+		t.Fatalf("no fingerprint to restamp in %s", cdir)
+	}
+	if msg := refused(crashCampaign(), "of a pre-deletion journal"); !strings.Contains(msg, `"shared_cache":false`) {
+		t.Fatalf("mismatch error does not show the legacy fingerprint:\n%s", msg)
 	}
 }
 

@@ -83,11 +83,6 @@ type TraceReport struct {
 	Quarantines  int64
 	BreakerTrips int64
 
-	// Shape-cache aggregates (schema v3 "shape" records); zero for a
-	// cache-off campaign or an older trace.
-	ShapeHits   int64
-	ShapeMisses int64
-
 	// Platforms holds the per-platform verdict breakdown of matrix campaigns
 	// (schema v4 "platform" records), sorted by platform name; empty for
 	// single-platform traces.
@@ -194,12 +189,6 @@ func AnalyzeTrace(recs []telemetry.Record) *TraceReport {
 			if rec.To == "open" {
 				r.BreakerTrips++
 			}
-		case "shape":
-			if rec.Hit {
-				r.ShapeHits++
-			} else {
-				r.ShapeMisses++
-			}
 		}
 	}
 
@@ -255,12 +244,6 @@ func (r *TraceReport) String() string {
 	if r.Retries > 0 || r.Timeouts > 0 || r.Skips > 0 || r.Quarantines > 0 || r.BreakerTrips > 0 {
 		fmt.Fprintf(&sb, "resilience: %d retries (%d timeouts), %d skips, %d quarantined, %d breaker trips\n",
 			r.Retries, r.Timeouts, r.Skips, r.Quarantines, r.BreakerTrips)
-	}
-
-	// Shape-cache line only when the cache ran.
-	if r.ShapeHits+r.ShapeMisses > 0 {
-		fmt.Fprintf(&sb, "shape cache: %d/%d hits (%d distinct shapes encoded)\n",
-			r.ShapeHits, r.ShapeHits+r.ShapeMisses, r.ShapeMisses)
 	}
 
 	fmt.Fprintf(&sb, "\nstage latency (per program):\n")

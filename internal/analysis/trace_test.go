@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +98,27 @@ func TestAnalyzeTrace(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+
+	// A schema v3 "shape" record, written by a since-deleted campaign shape
+	// cache, still loads and leaves the report unchanged.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, rec := range synthTrace() {
+		if err := enc.Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf.WriteString(`{"v":3,"kind":"shape","prog":0,"hit":true}` + "\n")
+	withShape, err := telemetry.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(withShape) != len(synthTrace())+1 {
+		t.Fatalf("loaded %d records, want %d", len(withShape), len(synthTrace())+1)
+	}
+	if got := AnalyzeTrace(withShape).String(); got != out {
+		t.Errorf("shape record changed the report:\n%s\nwant:\n%s", got, out)
 	}
 }
 

@@ -70,13 +70,6 @@ type Config struct {
 	// the caller.
 	Registers []string
 
-	// ShapeCache, when non-nil, is the campaign-scoped prototype cache:
-	// pair-relation solvers for alpha-equivalent formula shapes (programs of
-	// one template differing only in register allocation) are cloned from one
-	// shared encoding instead of re-blasted per program. Safe to share
-	// across concurrent generators.
-	ShapeCache *smt.ShapeCache
-
 	// Trace, when non-nil, receives one telemetry query event per solver
 	// query, carrying the effort deltas (SAT conflicts/decisions/
 	// propagations, blast-cache hits/misses, Ackermann expansions) that
@@ -269,16 +262,9 @@ type Generator struct {
 	QueriesUnsat  int
 	QueriesFailed int
 
-	// ShapeKeys records the campaign shape-cache key hash of every lookup
-	// this generator performed, in lookup order (pair-state creation is
-	// single-threaded per program, so the order is deterministic). The
-	// campaign journal persists the list for crash-safe resume accounting;
-	// empty when no ShapeCache is configured.
-	ShapeKeys []uint64
-
-	// engines holds the backends of the pair solvers built without the
-	// shape cache, in creation order, starting as the set an earlier
-	// generator released; built counts the solvers built so far.
+	// engines holds the backends of the pair solvers, in creation order,
+	// starting as the set an earlier generator released; built counts the
+	// solvers built so far.
 	engines *engineSet
 	built   int
 }
@@ -353,32 +339,24 @@ func (g *Generator) streamSeed(k genKey) int64 {
 	return g.cfg.Seed*1000003 + int64(k.a)*8191 + int64(k.b)*131 + int64(k.class)*7 + int64(k.slot)
 }
 
-// prefixFormulas is the class-independent part of a stream's formula: the
-// pair relation for the slot, plus the requirement that the two register
-// vectors differ somewhere (a test case of two identical states is vacuous).
-func (g *Generator) prefixFormulas(a, b, slot int) []expr.BoolExpr {
-	pa, pb := g.paths[a], g.paths[b]
-	out := []expr.BoolExpr{PairRelationSlot(pa, pb, g.cfg.Refined, slot)}
+// assertPrefix installs the class-independent part of a stream's formula on
+// a fresh solver: the pair relation for the slot, plus the requirement that
+// the two register vectors differ somewhere (a test case of two identical
+// states is vacuous).
+func (g *Generator) assertPrefix(s *smt.Solver, a, b, slot int) {
+	s.Assert(PairRelationSlot(g.paths[a], g.paths[b], g.cfg.Refined, slot))
 	var diff []expr.BoolExpr
 	for _, r := range g.cfg.Registers {
 		diff = append(diff, expr.Neq(
 			expr.NewVar(r+sfx1, 64), expr.NewVar(r+sfx2, 64)))
 	}
 	if len(diff) > 0 {
-		out = append(out, expr.OrB(diff...))
-	}
-	return out
-}
-
-// assertPrefix installs the prefix formulas on a fresh solver.
-func (g *Generator) assertPrefix(s *smt.Solver, a, b, slot int) {
-	for _, f := range g.prefixFormulas(a, b, slot) {
-		s.Assert(f)
+		s.Assert(expr.OrB(diff...))
 	}
 }
 
-// newPairState builds the shared solver for one (path pair, slot), cloning a
-// cached prototype when the campaign shape cache is enabled.
+// newPairState builds the shared solver for one (path pair, slot), whose
+// streams for every support class then query it incrementally.
 func (g *Generator) newPairState(pk pairKey) *pairState {
 	seed := g.cfg.Seed*1000003 + int64(pk.a)*8191 + int64(pk.b)*131 + int64(pk.slot)
 	opts := smt.Options{
@@ -386,23 +364,11 @@ func (g *Generator) newPairState(pk pairKey) *pairState {
 		RandomPhaseProb: g.cfg.RandomPhaseProb,
 		MaxConflicts:    g.cfg.MaxConflicts,
 	}
-	var s *smt.Solver
-	if g.cfg.ShapeCache != nil {
-		var hit bool
-		var kh uint64
-		s, hit, kh = g.cfg.ShapeCache.InstantiateTagged(opts, g.prefixFormulas(pk.a, pk.b, pk.slot))
-		g.ShapeKeys = append(g.ShapeKeys, kh)
-		g.cfg.Trace.ShapeLookup(g.cfg.Prog, hit)
-		if g.cfg.Ctx != nil {
-			s.SetContext(g.cfg.Ctx)
-		}
-	} else {
-		s = g.newSolver(opts)
-		if g.cfg.Ctx != nil {
-			s.SetContext(g.cfg.Ctx)
-		}
-		g.assertPrefix(s, pk.a, pk.b, pk.slot)
+	s := g.newSolver(opts)
+	if g.cfg.Ctx != nil {
+		s.SetContext(g.cfg.Ctx)
 	}
+	g.assertPrefix(s, pk.a, pk.b, pk.slot)
 	return &pairState{solver: s, prefixNames: s.VarNames(), handles: make(map[int]smt.Handle)}
 }
 
@@ -597,19 +563,21 @@ func (g *Generator) extract(m *expr.Assignment, k genKey) *TestCase {
 // relation formula built by PairRelation: register values come from the
 // _1/_2-suffixed variables and memory images from the renamed memories.
 func ExtractStates(m *expr.Assignment, registers []string) (s1, s2 *State) {
-	s1 = &State{Regs: make(map[string]uint64), Mem: expr.NewMemModel(0)}
-	s2 = &State{Regs: make(map[string]uint64), Mem: expr.NewMemModel(0)}
+	return stateFromModel(m, registers, sfx1), stateFromModel(m, registers, sfx2)
+}
+
+// stateFromModel reads one concrete state out of a model: each register's
+// value from its sfx-suffixed variable and the memory image of "MEM"+sfx.
+// Registers and memory the model leaves unassigned read as zero.
+func stateFromModel(m *expr.Assignment, registers []string, sfx string) *State {
+	st := &State{Regs: make(map[string]uint64), Mem: expr.NewMemModel(0)}
 	for _, r := range registers {
-		s1.Regs[r] = m.BV[r+sfx1]
-		s2.Regs[r] = m.BV[r+sfx2]
+		st.Regs[r] = m.BV[r+sfx]
 	}
-	if mm := m.Mem["MEM"+sfx1]; mm != nil {
-		s1.Mem = mm.Clone()
+	if mm := m.Mem["MEM"+sfx]; mm != nil {
+		st.Mem = mm.Clone()
 	}
-	if mm := m.Mem["MEM"+sfx2]; mm != nil {
-		s2.Mem = mm.Clone()
-	}
-	return s1, s2
+	return st
 }
 
 // TrainingState solves for a state taking a different execution path than
@@ -626,15 +594,7 @@ func TrainingState(paths []*symexec.Path, testPath int, registers []string, seed
 		if s.Check() != sat.Sat {
 			continue
 		}
-		m := s.Model()
-		st := &State{Regs: make(map[string]uint64), Mem: expr.NewMemModel(0)}
-		for _, r := range registers {
-			st.Regs[r] = m.BV[r]
-		}
-		if mm := m.Mem["MEM"]; mm != nil {
-			st.Mem = mm.Clone()
-		}
-		return st, true
+		return stateFromModel(s.Model(), registers, ""), true
 	}
 	return nil, false
 }

@@ -10,15 +10,10 @@ import "strconv"
 // constraint of an incremental solver.
 //
 // An Interner is not safe for concurrent use; each solver owns its own.
-// A frozen interner can however serve as the shared read-only parent of many
-// child interners (see NewChild), which is how the campaign shape cache
-// instantiates per-program solvers without copying the prototype's tables.
 type Interner struct {
-	memo   map[Expr]Expr   // any visited node -> canonical node
-	table  map[string]Expr // structural key -> canonical node
-	ids    map[Expr]uint64 // canonical node -> dense id used in child keys
-	base   uint64          // id offset: total ids held by the parent chain
-	parent *Interner       // frozen fallback layer, read-only after NewChild
+	memo  map[Expr]Expr   // any visited node -> canonical node
+	table map[string]Expr // structural key -> canonical node
+	ids   map[Expr]uint64 // canonical node -> dense id used in parent terms' keys
 }
 
 // NewInterner returns an empty interner.
@@ -30,29 +25,12 @@ func NewInterner() *Interner {
 	}
 }
 
-// NewChild returns an interner layered over in: lookups fall through to in
-// (and its ancestors), new terms are recorded only in the child. The parent
-// MUST NOT intern any new term afterwards — children assign ids starting at
-// the parent chain's current count, and concurrent children of one frozen
-// parent are safe precisely because none of them writes to it.
-func (in *Interner) NewChild() *Interner {
-	return &Interner{
-		memo:   make(map[Expr]Expr),
-		table:  make(map[string]Expr),
-		ids:    make(map[Expr]uint64),
-		base:   in.base + uint64(len(in.ids)),
-		parent: in,
-	}
-}
-
 // Intern returns the canonical representative of e, interning every subterm.
 // The result is structurally identical to e; two calls with structurally
 // equal trees return the same pointer.
 func (in *Interner) Intern(e Expr) Expr {
-	for p := in; p != nil; p = p.parent {
-		if c, ok := p.memo[e]; ok {
-			return c
-		}
+	if c, ok := in.memo[e]; ok {
+		return c
 	}
 	c := in.intern(e)
 	in.memo[e] = c
@@ -63,27 +41,17 @@ func (in *Interner) Intern(e Expr) Expr {
 }
 
 // id returns the dense id of an already-canonical node.
-func (in *Interner) id(c Expr) uint64 {
-	for p := in; p != nil; p = p.parent {
-		if id, ok := p.ids[c]; ok {
-			return id
-		}
-	}
-	return 0
-}
+func (in *Interner) id(c Expr) uint64 { return in.ids[c] }
 
-// canon looks the key up through the layer chain, registering node in the
-// youngest layer as the canonical representative when the key is new.
+// canon looks the key up, registering the built node as the canonical
+// representative when the key is new.
 func (in *Interner) canon(key []byte, build func() Expr) Expr {
-	k := string(key)
-	for p := in; p != nil; p = p.parent {
-		if c, ok := p.table[k]; ok {
-			return c
-		}
+	if c, ok := in.table[string(key)]; ok {
+		return c
 	}
 	c := build()
-	in.table[k] = c
-	in.ids[c] = in.base + uint64(len(in.ids)) + 1
+	in.table[string(key)] = c
+	in.ids[c] = uint64(len(in.ids)) + 1
 	return c
 }
 

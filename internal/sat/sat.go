@@ -15,15 +15,15 @@
 // Clauses live in a flat arena (one literal slice plus fixed-size headers,
 // referenced by index) rather than as individually allocated objects. That
 // keeps the allocator and garbage collector out of the encoding hot path and
-// makes Clone a handful of bulk copies, which is what the campaign-scoped
-// shape cache (internal/smt) relies on to instantiate prototype solvers
-// cheaply. Watch lists follow the same scheme: every literal's list is a
-// window into one flat cref arena, so the solver holds no per-list pointers
-// for the garbage collector to scan.
+// lets Reset recycle a solver's memory for the next program. Watch lists
+// follow the same scheme: every literal's list is a window into one flat
+// cref arena, so the solver holds no per-list pointers for the garbage
+// collector to scan.
 package sat
 
 import (
 	"context"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -918,4 +918,41 @@ func (h *varHeap) down(i int) {
 type heapKey struct {
 	vars, trail0 int
 	boosts       int64
+}
+
+// CNFHash returns an FNV-1a hash over the clause database (headers and
+// literals, in addition order). Two solvers with equal hashes were built by
+// the same sequence of effective clause additions — the CNF identity golden
+// uses it to prove an encoding change left every pair solver's CNF intact.
+func (s *Solver) CNFHash() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x uint64) {
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(x >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	put(uint64(len(s.heads)))
+	for _, hd := range s.heads {
+		k := uint64(hd.len())
+		if hd.learnt() {
+			k |= 1 << 32
+		}
+		put(k)
+		for _, l := range s.arena[hd.off : hd.off+hd.len()] {
+			put(uint64(uint32(l)))
+		}
+	}
+	// Level-0 unit implications are part of the problem too (unit clauses
+	// never reach the arena).
+	lim := len(s.trail)
+	if len(s.trailLim) > 0 {
+		lim = int(s.trailLim[0])
+	}
+	put(uint64(lim))
+	for _, l := range s.trail[:lim] {
+		put(uint64(uint32(l)))
+	}
+	return h.Sum64()
 }

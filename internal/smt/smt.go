@@ -38,15 +38,6 @@ type Options struct {
 	MaxConflicts int64
 }
 
-// configure sets the search fields of Options on a solver seeded with
-// o.Seed, whether fresh (New) or cloned from a prototype (ShapeCache).
-func (o Options) configure(s *sat.Solver) *sat.Solver {
-	s.DefaultPhase = o.DefaultPhase
-	s.RandomPhaseProb = o.RandomPhaseProb
-	s.MaxConflicts = o.MaxConflicts
-	return s
-}
-
 type readInfo struct {
 	addr expr.BVExpr // address expression, memory-free
 	v    *expr.Var   // the fresh variable standing for the read value
@@ -62,13 +53,6 @@ type readInfo struct {
 type Solver struct {
 	sat *sat.Solver
 	bl  *bitblast.Blaster
-
-	// rn, when non-nil, translates between the caller's variable names and
-	// the canonical placeholder names of the shape-cache prototype this
-	// solver was instantiated from. Formulas are renamed into canonical
-	// space on the way in; models, handles and name listings are renamed
-	// back on the way out. Solvers built by New run without translation.
-	rn *renamer
 
 	reads          map[string][]readInfo // per base memory variable
 	readSeen       map[*expr.Read]*expr.Var
@@ -110,7 +94,9 @@ func New(opts Options) *Solver { return NewOn(sat.New(opts.Seed), opts) }
 // including a solver it served before.
 func NewOn(eng *sat.Solver, opts Options) *Solver {
 	eng.Reset(opts.Seed)
-	opts.configure(eng)
+	eng.DefaultPhase = opts.DefaultPhase
+	eng.RandomPhaseProb = opts.RandomPhaseProb
+	eng.MaxConflicts = opts.MaxConflicts
 	return &Solver{
 		sat:      eng,
 		bl:       bitblast.New(eng),
@@ -123,9 +109,6 @@ func NewOn(eng *sat.Solver, opts Options) *Solver {
 
 // Assert adds a formula to the solver.
 func (s *Solver) Assert(e expr.BoolExpr) {
-	if s.rn != nil {
-		e = expr.RenameBool(e, s.rn.in)
-	}
 	flat := s.elim(e).(expr.BoolExpr)
 	s.recordVars(flat)
 	s.bl.Assert(flat)
@@ -137,38 +120,18 @@ func (s *Solver) Assert(e expr.BoolExpr) {
 // relaxed. Scoped assertions cannot be retracted, but an unused scope costs
 // only its (shared, cached) CNF.
 func (s *Solver) AssertScoped(e expr.BoolExpr) Handle {
-	if s.rn != nil {
-		e = expr.RenameBool(e, s.rn.in)
-	}
 	s.capture = make(map[string]bool)
 	flat := s.elim(e).(expr.BoolExpr)
 	s.recordVars(flat)
 	names := make([]string, 0, len(s.capture))
 	for n := range s.capture {
-		names = append(names, s.rnOut(n))
+		names = append(names, n)
 	}
 	sort.Strings(names)
 	s.capture = nil
 	act := sat.MkLit(s.sat.NewVar(), false)
 	s.bl.AssertImplied(act, flat)
 	return Handle{act: act, names: names, valid: true}
-}
-
-// rnIn translates a caller-space name into the solver's internal space;
-// identity for solvers not built from a shape-cache prototype.
-func (s *Solver) rnIn(name string) string {
-	if s.rn == nil {
-		return name
-	}
-	return s.rn.in(name)
-}
-
-// rnOut translates an internal name back into caller space.
-func (s *Solver) rnOut(name string) string {
-	if s.rn == nil {
-		return name
-	}
-	return s.rn.out(name)
 }
 
 // CheckUnder runs the SAT search with the given scoped assertions active.
@@ -443,9 +406,6 @@ func (s *Solver) Stats() Stats {
 // Model extracts the current satisfying assignment, including reconstructed
 // memory images for every memory variable that was read.
 func (s *Solver) Model() *expr.Assignment {
-	// Build the assignment in the solver's internal name space first — the
-	// read address expressions evaluated below live there — and translate
-	// the keys to caller space at the end.
 	a := expr.NewAssignment()
 	for name := range s.bvVars {
 		if s.bl.HasVar(name) {
@@ -463,20 +423,7 @@ func (s *Solver) Model() *expr.Assignment {
 		}
 		a.Mem[memName] = mm
 	}
-	if s.rn == nil {
-		return a
-	}
-	out := expr.NewAssignment()
-	for name, v := range a.BV {
-		out.BV[s.rn.out(name)] = v
-	}
-	for name, v := range a.Bool {
-		out.Bool[s.rn.out(name)] = v
-	}
-	for name, mm := range a.Mem {
-		out.Mem[s.rn.out(name)] = mm
-	}
-	return out
+	return a
 }
 
 // VarNames returns the sorted names of all bitvector variables known to the
@@ -484,7 +431,7 @@ func (s *Solver) Model() *expr.Assignment {
 func (s *Solver) VarNames() []string {
 	names := make([]string, 0, len(s.bvVars))
 	for n := range s.bvVars {
-		names = append(names, s.rnOut(n))
+		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
@@ -494,8 +441,8 @@ func (s *Solver) VarNames() []string {
 // given memory, in introduction order.
 func (s *Solver) ReadVarNames(mem string) []string {
 	var names []string
-	for _, ri := range s.reads[s.rnIn(mem)] {
-		names = append(names, s.rnOut(ri.v.Name))
+	for _, ri := range s.reads[mem] {
+		names = append(names, ri.v.Name)
 	}
 	return names
 }
@@ -523,7 +470,6 @@ func (s *Solver) BlockVarsUnder(h Handle, names []string) bool {
 func (s *Solver) block(clause []sat.Lit, names []string) bool {
 	guard := len(clause)
 	for _, name := range names {
-		name = s.rnIn(name)
 		if !s.bl.HasVar(name) {
 			continue
 		}

@@ -218,8 +218,7 @@ function render(c) {
     tile("query p50 / p99", fmtUS(c.query_p50_us) + " / " + fmtUS(c.query_p99_us)) +
     tile("conflicts", c.conflicts) +
     tile("propagations", c.propagations) +
-    tile("blast hit/miss", c.blast_hits + "/" + c.blast_misses) +
-    ((c.shape_hits || c.shape_misses) ? tile("shape hit/miss", (c.shape_hits||0) + "/" + (c.shape_misses||0)) : "");
+    tile("blast hit/miss", c.blast_hits + "/" + c.blast_misses);
 
   const plats = c.platforms || [];
   if (plats.length) {

@@ -39,9 +39,6 @@ type countersJSON struct {
 	Quarantines  int64 `json:"quarantines"`
 	BreakerTrips int64 `json:"breaker_trips"`
 
-	ShapeHits   int64 `json:"shape_hits,omitempty"`
-	ShapeMisses int64 `json:"shape_misses,omitempty"`
-
 	ResumedPrograms int64 `json:"resumed_programs,omitempty"`
 	Checkpoints     int64 `json:"checkpoints,omitempty"`
 
@@ -106,8 +103,6 @@ func countersWire(c Counters) countersJSON {
 		Skips:           c.Skips,
 		Quarantines:     c.Quarantines,
 		BreakerTrips:    c.BreakerTrips,
-		ShapeHits:       c.ShapeHits,
-		ShapeMisses:     c.ShapeMisses,
 		ResumedPrograms: c.ResumedPrograms,
 		Checkpoints:     c.Checkpoints,
 	}

@@ -72,11 +72,6 @@ func (t *Tracer) WriteMetrics(w io.Writer) {
 	m.family("scamv_breaker_trips_total", "counter", "Circuit-breaker transitions into the open state.")
 	m.sample("scamv_breaker_trips_total", nil, ival(c.BreakerTrips))
 
-	m.family("scamv_shape_cache_hits_total", "counter", "Campaign shape-cache hits.")
-	m.sample("scamv_shape_cache_hits_total", nil, ival(c.ShapeHits))
-	m.family("scamv_shape_cache_misses_total", "counter", "Campaign shape-cache misses (distinct shapes encoded).")
-	m.sample("scamv_shape_cache_misses_total", nil, ival(c.ShapeMisses))
-
 	m.family("scamv_resumed_programs_total", "counter", "Programs restored from campaign journals instead of re-run.")
 	m.sample("scamv_resumed_programs_total", nil, ival(c.ResumedPrograms))
 	m.family("scamv_checkpoints_total", "counter", "Durable campaign checkpoints written.")

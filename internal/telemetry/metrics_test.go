@@ -171,7 +171,6 @@ func TestWriteMetricsParsesAndCounts(t *testing.T) {
 	tr.Verdict(0, 0, "counterexample", time.Millisecond)
 	tr.PlatformVerdict(0, 0, "a53", "counterexample", time.Millisecond)
 	tr.PlatformVerdict(0, 0, "a72", "ok", time.Millisecond)
-	tr.ShapeLookup(0, true)
 	tr.ProgramDone()
 	tr.SetPipelineSource(func() []PipelineStage {
 		return []PipelineStage{
@@ -193,7 +192,6 @@ func TestWriteMetricsParsesAndCounts(t *testing.T) {
 		"scamv_solver_conflicts_total{}|le=":                       7,
 		"scamv_solver_propagations_total{}|le=":                    90,
 		"scamv_blast_cache_misses_total{}|le=":                     1,
-		"scamv_shape_cache_hits_total{}|le=":                       1,
 		`scamv_platform_counterexamples_total{platform="a53"}|le=`: 1,
 		`scamv_platform_experiments_total{platform="a72"}|le=`:     1,
 		`scamv_stage_items_in_total{stage="testgen"}|le=`:          1,

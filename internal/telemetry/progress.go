@@ -53,10 +53,6 @@ func RenderProgress(cur, prev Counters, dt time.Duration) string {
 	if cur.Checkpoints > 0 {
 		fmt.Fprintf(&sb, "  ckpts %d", cur.Checkpoints)
 	}
-	// Shape-cache counters appear only when the cache runs.
-	if cur.ShapeHits+cur.ShapeMisses > 0 {
-		fmt.Fprintf(&sb, "  shapes %d/%d hit", cur.ShapeHits, cur.ShapeHits+cur.ShapeMisses)
-	}
 
 	// Busy share over the interval: how the pipeline's working time divided
 	// across stages since the previous tick. Relative shares rank the

@@ -37,10 +37,11 @@ import (
 // Version 1: kinds "campaign", "span", "query", "verdict" with the fields
 // documented on Record. Version 2 adds the resilience kinds "retry",
 // "timeout", "skip", "quarantine", "breaker" (new fields Reason, Attempt,
-// From, To). Version 3 adds the "shape" kind (Hit) recording campaign
-// shape-cache lookups; v1 and v2 traces remain loadable. (Version 3 also
-// added the per-query fields "winner" and "shared_clauses" of a since-
-// retired portfolio backend; readers ignore them.) Version 4
+// From, To). Version 3 added the "shape" kind (field "hit") of a since-
+// deleted campaign shape cache, and the per-query fields "winner" and
+// "shared_clauses" of a since-retired portfolio backend; none of them is
+// written any more and readers ignore them. v1 and v2 traces remain
+// loadable. Version 4
 // adds the "platform" kind: one record per (platform, test) of a matrix
 // campaign, carrying the platform name in Name alongside the verdict fields.
 // Version 5 adds the crash-safety kinds "resume" (a campaign restored a
@@ -60,7 +61,6 @@ const SchemaVersion = 5
 //	query     one solver query: Prog, PathA/PathB/Class/Slot, Status, DurUS,
 //	          plus the solver-effort deltas of this query (Conflicts,
 //	          Decisions, Propagations, BlastHits, BlastMisses, AckReads)
-//	shape     one campaign shape-cache lookup: Prog, Hit
 //	verdict   one executed test case: Prog, Test, Verdict, DurUS
 //	retry     one platform retry: Prog, Test, Attempt (failing attempt,
 //	          0-based), Reason
@@ -108,9 +108,6 @@ type Record struct {
 	Attempt int    `json:"attempt,omitempty"`
 	From    string `json:"from,omitempty"`
 	To      string `json:"to,omitempty"`
-
-	// Shape-cache field (schema v3).
-	Hit bool `json:"hit,omitempty"`
 }
 
 // QueryEvent is one solver query as reported by the test-case generator.
@@ -170,10 +167,6 @@ type Tracer struct {
 	skips        atomic.Int64
 	quarantines  atomic.Int64
 	breakerTrips atomic.Int64
-
-	// Shape-cache counters (schema v3).
-	shapeHits   atomic.Int64
-	shapeMisses atomic.Int64
 
 	// Crash-safety counters (schema v5).
 	resumedPrograms atomic.Int64
@@ -400,20 +393,6 @@ func (t *Tracer) Query(ev QueryEvent) {
 	}
 }
 
-// ShapeLookup records one campaign shape-cache lookup: hit means an earlier
-// program already built the prototype encoding for this template shape.
-func (t *Tracer) ShapeLookup(prog int, hit bool) {
-	if t == nil {
-		return
-	}
-	if hit {
-		t.shapeHits.Add(1)
-	} else {
-		t.shapeMisses.Add(1)
-	}
-	t.record(&Record{Kind: "shape", TSus: t.now(), Prog: prog, Hit: hit})
-}
-
 // Verdict records one executed test case's classification and execution time.
 func (t *Tracer) Verdict(prog, test int, verdict string, dur time.Duration) {
 	if t == nil {
@@ -591,10 +570,6 @@ type Counters struct {
 	Quarantines  int64
 	BreakerTrips int64
 
-	// ShapeHits/ShapeMisses count campaign shape-cache lookups.
-	ShapeHits   int64
-	ShapeMisses int64
-
 	// ResumedPrograms counts programs restored from campaign journals
 	// (included in Programs); Checkpoints counts durable checkpoints written.
 	ResumedPrograms int64
@@ -638,8 +613,6 @@ func (t *Tracer) Snapshot() Counters {
 		Skips:           t.skips.Load(),
 		Quarantines:     t.quarantines.Load(),
 		BreakerTrips:    t.breakerTrips.Load(),
-		ShapeHits:       t.shapeHits.Load(),
-		ShapeMisses:     t.shapeMisses.Load(),
 		ResumedPrograms: t.resumedPrograms.Load(),
 		Checkpoints:     t.checkpoints.Load(),
 	}

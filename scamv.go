@@ -35,7 +35,6 @@ import (
 	"scamv/internal/logdb"
 	"scamv/internal/micro"
 	"scamv/internal/obs"
-	"scamv/internal/smt"
 	"scamv/internal/stage"
 	"scamv/internal/symexec"
 	"scamv/internal/telemetry"
@@ -187,28 +186,10 @@ type Experiment struct {
 	// sequential seed stream across the skipped prefix. Set by RunContext.
 	restoredN int
 
-	// restoredShapeHits/Misses are the shape-cache lookup totals replayed
-	// from the restored programs' journaled key lists; added to the live
-	// cache's stats at harvest so resumed totals equal an uninterrupted
-	// run's.
-	restoredShapeHits   int64
-	restoredShapeMisses int64
-
 	// Parallel is the number of programs processed concurrently (<= 1
 	// means sequential). Counts are deterministic regardless of the
 	// setting; only wall-clock TTC varies with scheduling.
 	Parallel int
-
-	// SharedCache enables the campaign-scoped blast/query cache: pair-
-	// relation encodings are computed once per template shape and cloned for
-	// every alpha-equivalent program (same template, different register
-	// allocation), across all concurrent testgen workers. Results are
-	// byte-identical with the cache on or off.
-	SharedCache bool
-
-	// shapeCache is the campaign's shared prototype cache, created by
-	// RunContext when SharedCache is set.
-	shapeCache *smt.ShapeCache
 
 	// machines is SimPlatform's machine pool for Micro, resolved once by
 	// RunContext (and by buildMatrix for each platform clone) so Execute
@@ -315,12 +296,6 @@ type Result struct {
 	Retries             int
 	Timeouts            int
 	BreakerTrips        uint64
-
-	// ShapeHits and ShapeMisses count campaign shape-cache lookups when
-	// Experiment.SharedCache is set (misses = distinct template shapes
-	// encoded; both deterministic per seed). Zero when the cache is off.
-	ShapeHits   int64
-	ShapeMisses int64
 
 	// RestoredPrograms counts the programs restored from a resumed
 	// campaign journal rather than executed in this process; they are
@@ -445,7 +420,6 @@ func (pl *Pipeline) generatorCtx(ctx context.Context, e *Experiment, programSeed
 		Support:         e.Support,
 		MaxConflicts:    e.MaxConflicts,
 		Registers:       pl.Registers,
-		ShapeCache:      e.shapeCache,
 		Trace:           e.Trace,
 		Prog:            p,
 		Ctx:             ctx,
@@ -630,10 +604,6 @@ type programResult struct {
 	// platforms is the per-platform tally of a matrix campaign, one entry
 	// per Experiment.Platforms spec; nil otherwise. See matrix.go.
 	platforms []platformTally
-
-	// shapeKeys are the program's shape-cache lookups (key hashes in lookup
-	// order), journaled for resume accounting. See core.Generator.ShapeKeys.
-	shapeKeys []uint64
 }
 
 func wordsEqual(a, b []uint32) bool {
@@ -694,11 +664,10 @@ func encodeRoundTrip(prog *arm.Program) (_ *arm.Program, fallback bool) {
 // genOut is the TestGen stage's product for one program: the generated test
 // cases with their per-test generation times and the solver query count.
 type genOut struct {
-	tests     []*core.TestCase
-	durs      []time.Duration
-	genTime   time.Duration
-	queries   int
-	shapeKeys []uint64
+	tests   []*core.TestCase
+	durs    []time.Duration
+	genTime time.Duration
+	queries int
 }
 
 // generateTests is the TestGen stage body: it drives the refinement-guided
@@ -722,7 +691,6 @@ func generateTests(ctx context.Context, e *Experiment, pl *Pipeline, p int) genO
 		out.durs = append(out.durs, d)
 	}
 	out.queries = g.QueriesSat + g.QueriesUnsat + g.QueriesFailed
-	out.shapeKeys = g.ShapeKeys
 	e.Trace.Span("testgen", p, spanStart)
 	return out
 }
@@ -756,7 +724,7 @@ func (ts *trainingStates) get(path int) *core.State {
 // platform first (platform 0, whose verdicts feed the single-platform
 // bookkeeping below) and then on every other platform, tallied per row.
 func executeProgram(ctx context.Context, e *Experiment, pl *Pipeline, p int, g genOut, start time.Time) (*programResult, error) {
-	out := &programResult{genTime: g.genTime, queries: g.queries, firstCETest: -1, shapeKeys: g.shapeKeys}
+	out := &programResult{genTime: g.genTime, queries: g.queries, firstCETest: -1}
 	matrix := e.matrixExps
 	if len(matrix) > 0 {
 		out.platforms = make([]platformTally, len(matrix))
@@ -992,9 +960,6 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 	if mp, ok := e.Platform.(*MultiPlatform); ok {
 		mp.setTracer(e.Trace)
 	}
-	if e.SharedCache {
-		e.shapeCache = smt.NewShapeCache()
-	}
 	e.machines = machinesFor(e.Micro)
 	if err := buildMatrix(&e); err != nil {
 		return nil, err
@@ -1015,36 +980,16 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 			return nil, fmt.Errorf("scamv: journal restored %d programs but the campaign runs only %d", len(restored), e.Programs)
 		}
 		// Merge the restored prefix through the same in-order merge step the
-		// engine uses, replaying shape-cache accounting from the journaled
-		// key lists (first occurrence = the miss the uninterrupted run paid;
-		// everything later = hit), and teach the live cache the keys so its
-		// rebuilt prototypes still count as hits.
-		var keys []uint64
-		seen := make(map[uint64]bool)
+		// engine uses.
 		e.restoredN = len(restored) // before the merges: it gates re-journaling
 		for _, jr := range restored {
-			out := fromJournalRecord(jr)
-			if e.shapeCache != nil {
-				for _, kh := range out.shapeKeys {
-					if seen[kh] {
-						e.restoredShapeHits++
-					} else {
-						seen[kh] = true
-						e.restoredShapeMisses++
-					}
-					keys = append(keys, kh)
-				}
-			}
-			if err := res.mergeProgram(&e, jr.Prog, out); err != nil {
+			if err := res.mergeProgram(&e, jr.Prog, fromJournalRecord(jr)); err != nil {
 				return nil, err
 			}
 		}
 		res.RestoredPrograms = e.restoredN
 		if e.restoredN > 0 {
 			e.Trace.Resume(e.Name, e.restoredN)
-			if e.shapeCache != nil {
-				e.shapeCache.MarkKnown(keys)
-			}
 		}
 	}
 	if err := runStaged(ctx, &e, res, time.Now()); err != nil {
@@ -1064,11 +1009,6 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 	// custom platform exposing the same counter).
 	if bt, ok := e.Platform.(interface{ BreakerTrips() uint64 }); ok {
 		res.BreakerTrips = bt.BreakerTrips()
-	}
-	if e.shapeCache != nil {
-		st := e.shapeCache.Stats()
-		res.ShapeHits = st.Hits + e.restoredShapeHits
-		res.ShapeMisses = st.Misses + e.restoredShapeMisses
 	}
 	res.DebugAddr = e.Trace.DebugAddr()
 	return res, nil

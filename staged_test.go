@@ -1,6 +1,7 @@
 package scamv
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -8,7 +9,34 @@ import (
 	"testing"
 
 	"scamv/internal/gen"
+	"scamv/internal/logdb"
 )
+
+// runLogged runs a campaign and returns its result plus the log records with
+// the wall-clock fields zeroed: every test case in order, with its paths,
+// class, verdict, and state diff — the deterministic witness of what the
+// campaign generated and observed.
+func runLogged(t *testing.T, e Experiment) (*Result, []logdb.Record) {
+	t.Helper()
+	var buf bytes.Buffer
+	db := logdb.NewWriter(&buf)
+	e.Log = db
+	res, err := Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := logdb.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		recs[i].GenMicros, recs[i].ExeMicros = 0, 0
+	}
+	return res, recs
+}
 
 // TestStagedParallelGoldenMLine pins the golden MLine campaign
 // (mlineCampaign, two programs) on the staged engine: sequential and with
