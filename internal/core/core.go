@@ -580,16 +580,30 @@ func stateFromModel(m *expr.Assignment, registers []string, sfx string) *State {
 	return st
 }
 
+// trainingEngines recycles TrainingState's solver backends: each candidate
+// path is solved over a reset engine (smt.NewOn), which searches exactly as
+// a new one would, and the engine goes back once the model is read.
+var trainingEngines sync.Pool
+
 // TrainingState solves for a state taking a different execution path than
 // testPath (paper §5.3): executing the program from it first trains the
 // branch predictor so that the test states are mispredicted. Returns ok =
 // false when the program has no alternative feasible path.
 func TrainingState(paths []*symexec.Path, testPath int, registers []string, seed int64) (*State, bool) {
+	eng, _ := trainingEngines.Get().(*sat.Solver)
+	if eng == nil {
+		eng = sat.New(seed)
+	}
+	defer func() {
+		if !eng.Oversized() {
+			trainingEngines.Put(eng)
+		}
+	}()
 	for i, p := range paths {
 		if i == testPath {
 			continue
 		}
-		s := smt.New(smt.Options{Seed: seed})
+		s := smt.NewOn(eng, smt.Options{Seed: seed})
 		s.Assert(p.Cond)
 		if s.Check() != sat.Sat {
 			continue

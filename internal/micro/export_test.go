@@ -1,9 +1,6 @@
 package micro
 
-import (
-	"maps"
-	"slices"
-)
+import "slices"
 
 // TrainedView is what a training sequence leaves in a machine once the
 // cache is cold again: the state Train's memo records, copied, plus whether
@@ -12,7 +9,7 @@ type TrainedView struct {
 	Clock    uint64
 	RR       []int
 	Draws    int
-	PHT      map[int]uint8
+	PHT      []uint8
 	Table    []uint8
 	History  int
 	CCA, CCB uint64
@@ -33,7 +30,7 @@ func Trained(m *Machine) TrainedView {
 	}
 	switch bp := m.BP.(type) {
 	case *BranchPredictor:
-		v.PHT = maps.Clone(bp.pht)
+		v.PHT = append([]uint8{}, bp.pht...) // never nil: a fresh and a Reset table read alike
 	case *Bimodal:
 		v.Table = slices.Clone(bp.table)
 	case *Gshare:

@@ -529,20 +529,30 @@ func (p *Prefetcher) OnAccess(addr uint64) (uint64, bool) {
 // indexed by instruction position — the PredPHT machine, and the historical
 // default. The other predictor kinds live in predictor.go.
 type BranchPredictor struct {
-	pht map[int]uint8
+	// pht holds the counters of pcs 0 … len-1: Update grows it to reach
+	// the pc it trains, and a pc past its end reads the zero counter.
+	pht []uint8
 }
 
 // NewBranchPredictor builds a predictor with all counters weakly not-taken.
-func NewBranchPredictor() *BranchPredictor { return &BranchPredictor{pht: make(map[int]uint8)} }
+func NewBranchPredictor() *BranchPredictor { return &BranchPredictor{} }
 
 // Reset clears the table.
-func (b *BranchPredictor) Reset() { clear(b.pht) }
+func (b *BranchPredictor) Reset() { b.pht = b.pht[:0] }
 
 // Predict returns the predicted direction for the branch at pc.
-func (b *BranchPredictor) Predict(pc int) bool { return ctrTaken(b.pht[pc]) }
+func (b *BranchPredictor) Predict(pc int) bool {
+	if pc >= len(b.pht) {
+		return ctrTaken(0)
+	}
+	return ctrTaken(b.pht[pc])
+}
 
 // Update trains the counter at pc with the resolved direction.
 func (b *BranchPredictor) Update(pc int, taken bool) {
+	if pc >= len(b.pht) {
+		b.pht = append(b.pht, make([]uint8, pc+1-len(b.pht))...)
+	}
 	b.pht[pc] = ctrUpdate(b.pht[pc], taken)
 }
 

@@ -1,10 +1,6 @@
 package micro
 
-import (
-	"maps"
-
-	"scamv/internal/arm"
-)
+import "scamv/internal/arm"
 
 // trainKey names one predictor-training sequence on a machine. Programs and
 // compiled states are compared by pointer: the memo holds both pointers, so
@@ -27,9 +23,9 @@ type trainMemo struct {
 	rr    []int  // round-robin victim pointers
 	draws int    // pseudo-random replacement draws
 
-	pht     map[int]uint8 // BranchPredictor counters
-	table   []uint8       // Bimodal / Gshare counters
-	history int           // Gshare global history
+	pht     []uint8 // BranchPredictor counters
+	table   []uint8 // Bimodal / Gshare counters
+	history int     // Gshare global history
 
 	ccA, ccB uint64
 	curPC    int
@@ -78,11 +74,7 @@ func (t *trainMemo) record(m *Machine, key trainKey) {
 	t.rr = append(t.rr[:0], c.rr...)
 	switch bp := m.BP.(type) {
 	case *BranchPredictor:
-		if t.pht == nil {
-			t.pht = make(map[int]uint8, len(bp.pht))
-		}
-		clear(t.pht)
-		maps.Copy(t.pht, bp.pht)
+		t.pht = append(t.pht[:0], bp.pht...)
 	case *Bimodal:
 		t.table = append(t.table[:0], bp.table...)
 	case *Gshare:
@@ -103,7 +95,7 @@ func (t *trainMemo) restore(m *Machine) {
 	c.draws = t.draws
 	switch bp := m.BP.(type) {
 	case *BranchPredictor:
-		maps.Copy(bp.pht, t.pht)
+		bp.pht = append(bp.pht[:0], t.pht...)
 	case *Bimodal:
 		copy(bp.table, t.table)
 	case *Gshare:

@@ -12,8 +12,9 @@ import (
 
 // FuzzSATOracle differentially tests the CDCL solver against the brute-force
 // oracle on fuzzer-shaped CNFs, both through the one-shot DiffSAT path and
-// through an incremental flow (assumption solve, ResetSearch, global solve on
-// the same solver instance). Failures are minimized with ShrinkCNF before
+// through an incremental flow on one solver instance: assumption solve,
+// ResetSearch, global solve, then the model blocked and solved again before
+// and after another ResetSearch. Failures are minimized with ShrinkCNF before
 // reporting.
 func FuzzSATOracle(f *testing.F) {
 	f.Add([]byte("sat-oracle"))
@@ -56,9 +57,35 @@ func FuzzSATOracle(f *testing.F) {
 		if got := s.Solve(); got != bst {
 			t.Fatalf("post-reset solve: cdcl %v vs brute %v", got, bst)
 		}
-		if bst == sat.Sat {
-			if !CNFSatisfied(clauses, s.Model()[:nVars]) {
-				t.Fatalf("post-reset model falsifies a clause")
+		if bst != sat.Sat {
+			return
+		}
+		model := s.Model()[:nVars]
+		if !CNFSatisfied(clauses, model) {
+			t.Fatalf("post-reset model falsifies a clause")
+		}
+
+		// Enumeration: block the model, solve again without ResetSearch
+		// (the backtrack's heap inserts are still queued), then ResetSearch
+		// and solve once more; both verdicts must match brute force over
+		// the clauses plus the blocking clause.
+		block := make([]sat.Lit, nVars)
+		for v, val := range model {
+			block[v] = sat.MkLit(v, val)
+		}
+		s.AddClause(block...)
+		blocked := append(clauses[:len(clauses):len(clauses)], block)
+		want, _ := BruteSolve(nVars, blocked)
+		for i, step := range []string{"blocked solve", "blocked solve after ResetSearch"} {
+			if i == 1 {
+				s.ResetSearch(4)
+			}
+			got := s.Solve()
+			if got != want {
+				t.Fatalf("%s: cdcl %v vs brute %v", step, got, want)
+			}
+			if got == sat.Sat && !CNFSatisfied(blocked, s.Model()[:nVars]) {
+				t.Fatalf("%s: model falsifies a clause", step)
 			}
 		}
 	})

@@ -128,6 +128,21 @@ type Solver struct {
 	rebuiltKey heapKey
 	boosts     int64
 
+	// From ResetSearch until materialize the heap is lazy: heap and its
+	// positions are stale, and the heap they stand for is rebuilt after
+	// popped pops, then the pending inserts in order. Until a conflict
+	// bumps an activity, every activity is its BoostVar base, so the pops
+	// of rebuilt are one fixed sequence. drain computes it on demand in
+	// heapsort layout: drain[:drainN] is rebuilt after len(drain)-drainN
+	// pops, and drain[drainN:] holds those pops in reverse order. It stays
+	// valid as long as rebuiltKey does.
+	lazy             bool
+	popped           int
+	pending          []int32
+	drain            []int32
+	drainN           int
+	materializations int // heaps materialize built; read by tests
+
 	phase        []int8    // saved phase: 1 true, -1 false, 0 use default
 	baseAct      []float64 // initial activity (BoostVar amounts), for ResetSearch
 	DefaultPhase bool      // initial polarity for decisions (false = assign 0)
@@ -248,6 +263,8 @@ func (s *Solver) Reset(seed int64) {
 			pos:  s.heap.pos[:0],
 		},
 		rebuilt:   s.rebuilt[:0],
+		pending:   s.pending[:0],
+		drain:     s.drain[:0],
 		seen:      s.seen[:0],
 		phase:     s.phase[:0],
 		baseAct:   s.baseAct[:0],
@@ -274,7 +291,7 @@ func (s *Solver) NewVar() int {
 	s.addMark = append(s.addMark, 0)
 	s.wlist = append(s.wlist, watchList{}, watchList{})
 	s.heap.pos = append(s.heap.pos, -1)
-	s.heap.insert(v)
+	s.heapInsert(v)
 	return v
 }
 
@@ -553,6 +570,7 @@ func (s *Solver) analyze(confl cref) ([]Lit, int32) {
 }
 
 func (s *Solver) bumpVar(v int) {
+	s.materialize()
 	s.activity[v] += s.varInc
 	if s.activity[v] > 1e100 {
 		for i := range s.activity {
@@ -571,6 +589,7 @@ func (s *Solver) decayActivities() { s.varInc /= varDecay }
 // toward zero inputs, mimicking Z3's default models. The boost amount is
 // also recorded as the variable's base activity, which ResetSearch restores.
 func (s *Solver) BoostVar(v int, amount float64) {
+	s.materialize()
 	s.activity[v] += s.varInc * amount
 	s.baseAct[v] += amount
 	s.boosts++
@@ -590,27 +609,84 @@ func (s *Solver) BoostVar(v int, amount float64) {
 // trail and the base activities. Between Resets the level-0 trail only
 // grows and only BoostVar changes a base activity, so the trail's length
 // and a count of BoostVar calls name them. While that key is unchanged the
-// rebuild's previous slots are copied back instead of sifting every
-// unassigned variable in again. The variables they leave out, those on the
-// level-0 trail, keep position -1 from that rebuild: no insert reaches a
-// level-0 variable, and a newly assigned one would change the key.
+// rebuild's previous slots, and the pops drain computed from them, are
+// reused instead of sifting every unassigned variable in again.
+//
+// ResetSearch leaves the heap lazy (see Solver.lazy): a query that meets no
+// conflict decides in the rebuilt heap's pop order and queues its
+// backtrack's inserts, and the next ResetSearch drops them, so it never
+// builds a real heap. materialize builds one before anything the lazy
+// state cannot stand for: an activity change, a pop with inserts queued,
+// or a queue grown past twice the variable count.
 func (s *Solver) ResetSearch(seed int64) {
+	// Whatever heap there is gets replaced below, so the backtrack only
+	// queues inserts for it to drop. With the queue emptied first they
+	// stay below materialize's bound.
+	s.lazy, s.pending = true, s.pending[:0]
 	s.cancelUntil(0)
+	s.pending, s.popped = s.pending[:0], 0
 	s.rng.Seed(seed) // a lazyrand stream: reseeding is cheap and stream-identical
 	s.varInc = 1
 	clear(s.phase)
 	copy(s.activity, s.baseAct)
 	key := heapKey{vars: len(s.assigns), trail0: len(s.trail), boosts: s.boosts}
 	if key == s.rebuiltKey {
-		s.heap.heap = append(s.heap.heap[:0], s.rebuilt...)
-		for i, v := range s.heap.heap {
-			s.heap.pos[v] = int32(i)
-		}
 		return
 	}
 	s.heap.rebuild(s.assigns)
 	s.rebuilt = append(s.rebuilt[:0], s.heap.heap...)
+	s.drain = append(s.drain[:0], s.rebuilt...)
+	s.drainN = len(s.drain)
 	s.rebuiltKey = key
+}
+
+// heapInsert puts v back into the heap, or queues the insert while the heap
+// is lazy.
+func (s *Solver) heapInsert(v int) {
+	if !s.lazy {
+		s.heap.insert(v)
+		return
+	}
+	s.pending = append(s.pending, int32(v))
+	if len(s.pending) > 2*len(s.assigns) {
+		s.materialize()
+	}
+}
+
+// materialize makes a lazy heap real: the heap and positions of rebuilt
+// after popped pops, then the pending inserts applied in order, exactly
+// the heap eager inserts and pops would have left. A heap that is not lazy
+// stays as it is.
+func (s *Solver) materialize() {
+	if !s.lazy {
+		return
+	}
+	s.lazy = false
+	s.materializations++
+	h := &s.heap
+	switch {
+	case s.popped == len(s.rebuilt):
+		h.heap = h.heap[:0]
+	case s.popped == len(s.drain)-s.drainN:
+		h.heap = append(h.heap[:0], s.drain[:s.drainN]...)
+	default:
+		// drain has run ahead of this query's pops: replay them on rebuilt.
+		h.heap = append(h.heap[:0], s.rebuilt...)
+		for n := len(h.heap); n > len(s.rebuilt)-s.popped; n-- {
+			drainPop(h.heap[:n], s.activity)
+		}
+		h.heap = h.heap[:len(s.rebuilt)-s.popped]
+	}
+	for i := range h.pos {
+		h.pos[i] = -1
+	}
+	for i, v := range h.heap {
+		h.pos[v] = int32(i)
+	}
+	for _, v := range s.pending {
+		h.insert(int(v))
+	}
+	s.pending = s.pending[:0]
 }
 
 func (s *Solver) cancelUntil(lvl int32) {
@@ -626,7 +702,7 @@ func (s *Solver) cancelUntil(lvl int32) {
 		}
 		s.assigns[v] = 0
 		s.reason[v] = crefNone
-		s.heap.insert(v)
+		s.heapInsert(v)
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]
 	s.trailLim = s.trailLim[:lvl]
@@ -636,10 +712,32 @@ func (s *Solver) cancelUntil(lvl int32) {
 // pickBranchVar pops the most active unassigned variable, or returns -1
 // when every variable is assigned. A full trail says so at once: the heap
 // then holds only assigned variables, which popping one by one would
-// discard in the same final state, an empty heap.
+// discard in the same final state, an empty heap. A lazy heap with no
+// inserts queued pops by walking drain's pop sequence.
 func (s *Solver) pickBranchVar() int {
 	if len(s.trail) == len(s.assigns) {
-		s.heap.clear()
+		if s.lazy {
+			s.popped, s.pending = len(s.rebuilt), s.pending[:0]
+		} else {
+			s.heap.clear()
+		}
+		return -1
+	}
+	if len(s.pending) > 0 {
+		s.materialize()
+	}
+	if s.lazy {
+		for s.popped < len(s.rebuilt) {
+			if s.popped == len(s.drain)-s.drainN {
+				drainPop(s.drain[:s.drainN], s.activity)
+				s.drainN--
+			}
+			v := s.drain[len(s.drain)-1-s.popped]
+			s.popped++
+			if s.assigns[v] == 0 {
+				return int(v)
+			}
+		}
 		return -1
 	}
 	for !s.heap.empty() {
@@ -910,6 +1008,34 @@ func (h *varHeap) down(i int) {
 	}
 	h.heap[i] = v
 	h.pos[v] = int32(i)
+}
+
+// drainPop pops heap h in heapsort fashion: the top moves to h[len(h)-1],
+// and h[:len(h)-1] is the heap that remains, sifted with varHeap.down's
+// comparisons but no positions, so it has pop's layout.
+func drainPop(h []int32, act []float64) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	h = h[:n]
+	if n == 0 {
+		return
+	}
+	v, i := h[0], 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && act[h[c+1]] > act[h[c]] {
+			c++
+		}
+		if !(act[h[c]] > act[v]) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
 }
 
 // heapKey is the state varHeap.rebuild is a function of, as ResetSearch
