@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-matrix bench-obs bench-resume bench
+.PHONY: ci fmt build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-matrix bench-obs bench-resume bench log-identity
 
 ci: fmt build vet race matrix-smoke obs-smoke crash-smoke bench-micro bench
 
@@ -117,3 +117,32 @@ bench-resume:
 # without speculation or without a prefetcher) keep running.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# Output identity against another revision, for changes that must not move
+# any result: builds BASE (git archive into a temporary directory) and the
+# working tree, runs -exp all -scale 0.06, -exp mct-a -matrix and -exp mpart
+# (both -programs 30 -tests 10) at seeds 1-4 with -log, drops the gen_us and
+# exe_us timings, sorts the records and fails on any difference. Takes about
+# a minute on two CPUs; not part of ci. Usage: make log-identity BASE=<rev>
+log-identity:
+	@test -n "$(BASE)" || { echo "usage: make log-identity BASE=<rev>"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/src"; git archive "$(BASE)" | tar -x -C "$$tmp/src"; \
+	(cd "$$tmp/src" && $(GO) build -o "$$tmp/scamv-base" ./cmd/scamv); \
+	$(GO) build -o "$$tmp/scamv-head" ./cmd/scamv; \
+	fail=0; \
+	for seed in 1 2 3 4; do \
+	  for probe in "-exp all -scale 0.06" "-exp mct-a -matrix -programs 30 -tests 10" "-exp mpart -programs 30 -tests 10"; do \
+	    for side in base head; do \
+	      "$$tmp/scamv-$$side" $$probe -seed $$seed -log "$$tmp/$$side.jsonl" >/dev/null; \
+	      sed -E 's/"(gen_us|exe_us)":[^,}]*,?//g' "$$tmp/$$side.jsonl" | sort >"$$tmp/$$side.txt"; \
+	      rm "$$tmp/$$side.jsonl"; \
+	    done; \
+	    if cmp -s "$$tmp/base.txt" "$$tmp/head.txt"; then \
+	      echo "same: seed $$seed $$probe, $$(wc -l <"$$tmp/head.txt") records"; \
+	    else \
+	      echo "DIFFERS: seed $$seed $$probe"; diff "$$tmp/base.txt" "$$tmp/head.txt" | head -n 6; fail=1; \
+	    fi; \
+	  done; \
+	done; \
+	exit $$fail

@@ -14,8 +14,9 @@ import (
 // oracle on fuzzer-shaped CNFs, both through the one-shot DiffSAT path and
 // through an incremental flow on one solver instance: assumption solve,
 // ResetSearch, global solve, then the model blocked and solved again before
-// and after another ResetSearch. Failures are minimized with ShrinkCNF before
-// reporting.
+// and after another ResetSearch, and a model blocked twice and pinned by a
+// unit clause, solved again before and after a ResetSearch. Failures are
+// minimized with ShrinkCNF before reporting.
 func FuzzSATOracle(f *testing.F) {
 	f.Add([]byte("sat-oracle"))
 	f.Add([]byte("\x05\x08abcdefghijklmnop"))
@@ -75,20 +76,52 @@ func FuzzSATOracle(f *testing.F) {
 		}
 		s.AddClause(block...)
 		blocked := append(clauses[:len(clauses):len(clauses)], block)
-		want, _ := BruteSolve(nVars, blocked)
-		for i, step := range []string{"blocked solve", "blocked solve after ResetSearch"} {
-			if i == 1 {
-				s.ResetSearch(4)
-			}
-			got := s.Solve()
-			if got != want {
-				t.Fatalf("%s: cdcl %v vs brute %v", step, got, want)
-			}
-			if got == sat.Sat && !CNFSatisfied(blocked, s.Model()[:nVars]) {
-				t.Fatalf("%s: model falsifies a clause", step)
+		if !solveTwice(t, s, nVars, blocked, "blocked solve") {
+			return
+		}
+
+		// The model the last solve left on the trail, blocked twice (on
+		// every variable, then on the even ones) and then pinned by a unit
+		// clause it falsifies: AddClause leaves the backtrack owed until the
+		// unit, and ResetSearch undoes the next model in place.
+		model = s.Model()[:nVars]
+		var all, even []sat.Lit
+		for v, val := range model {
+			all = append(all, sat.MkLit(v, val))
+			if v%2 == 0 {
+				even = append(even, sat.MkLit(v, val))
 			}
 		}
+		pin := len(data) % nVars
+		for _, c := range [][]sat.Lit{all, even, {sat.MkLit(pin, model[pin])}} {
+			s.AddClause(c...)
+			blocked = append(blocked, c)
+		}
+		solveTwice(t, s, nVars, blocked, "twice-blocked and pinned solve")
 	})
+}
+
+// solveTwice solves s once as it is and once after a ResetSearch, and
+// requires each verdict to be BruteSolve's over clauses, every clause s
+// has been given, and each model to satisfy them. It reports whether the
+// second solve found a model.
+func solveTwice(t *testing.T, s *sat.Solver, nVars int, clauses [][]sat.Lit, step string) bool {
+	t.Helper()
+	want, _ := BruteSolve(nVars, clauses)
+	var got sat.Status
+	for i, step := range []string{step, step + " after ResetSearch"} {
+		if i == 1 {
+			s.ResetSearch(4)
+		}
+		got = s.Solve()
+		if got != want {
+			t.Fatalf("%s: cdcl %v vs brute %v", step, got, want)
+		}
+		if got == sat.Sat && !CNFSatisfied(clauses, s.Model()[:nVars]) {
+			t.Fatalf("%s: model falsifies a clause", step)
+		}
+	}
+	return got == sat.Sat
 }
 
 // FuzzSMTModelSoundness asserts fuzzer-shaped bitvector+memory formulas and
