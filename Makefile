@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-matrix bench-obs bench-resume bench log-identity
+.PHONY: ci fmt build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-matrix bench-resume bench log-identity
 
 ci: fmt build vet race matrix-smoke obs-smoke crash-smoke bench-micro bench
 
@@ -89,20 +89,16 @@ bench-micro:
 bench-matrix:
 	BENCH_MATRIX=1 $(GO) test -run TestWriteBenchMatrix -count=1 -v .
 
-# Telemetry-overhead benchmark: runs the MLine campaign with a full JSONL
-# tracer attached vs a nil tracer and writes BENCH_telemetry.json (wall
-# clock, overhead ratio, trace size). Target is ≤1.05x; fails past the
-# 1.25x flake ceiling or if tracing changes any campaign count.
+# Telemetry-overhead benchmark: runs the MLine campaign with a nil tracer,
+# a full JSONL tracer, and the tracer plus the whole observability plane
+# (debug server, 50ms /metrics scraper, 50ms SSE dashboard client, armed
+# flight recorder), interleaved, and writes BENCH_telemetry.json (wall
+# clocks, trace/nil and observatory/trace ratios, trace size). Target is
+# ≤1.05x per step; fails past the 1.25x flake ceiling, if tracing or
+# observation changes any campaign count, if the trace is empty, or if
+# /metrics was never scraped.
 bench-telemetry:
 	BENCH_TELEMETRY=1 $(GO) test -run TestWriteBenchTelemetry -count=1 -v .
-
-# Observatory-overhead benchmark: runs the traced MLine campaign with and
-# without the full observability plane (debug server, 50ms /metrics scraper,
-# 50ms SSE dashboard client, armed flight recorder) and writes
-# BENCH_obs.json. Target is ≤1.05x over trace-only; fails past the 1.25x
-# flake ceiling or if observation changes any campaign count.
-bench-obs:
-	BENCH_OBS=1 $(GO) test -run TestWriteBenchObs -count=1 -v .
 
 # Journal-overhead benchmark: runs the MLine campaign with and without the
 # write-ahead journal (fsync per program completion, periodic atomic

@@ -70,7 +70,7 @@ func run() int {
 		strict    = flag.Bool("strict", false, "with -report/-report-diff: fail on a torn trailing line instead of dropping it with a warning")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "per-stage worker budget (programs in flight)")
 		trace     = flag.String("trace", "", "write a JSONL telemetry trace (spans, solver queries, verdicts) to this file")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/scamv, /debug/vars and /debug/pprof on this address")
+		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/scamv and /debug/pprof on this address")
 		progress  = flag.Bool("progress", false, "print a live progress line on stderr")
 		execTO    = flag.Duration("exec-timeout", 0, "per-execution deadline (0 = none)")
 		retries   = flag.Int("retries", 0, "retry budget per execution for transient failures")

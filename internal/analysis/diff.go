@@ -20,7 +20,7 @@ import (
 // zero-count side means the stage only exists in the other trace.
 type StageDiff struct {
 	Name     string
-	Old, New LatencyDist
+	Old, New telemetry.StageCount
 }
 
 // EffortDiff is one program's solver effort in both traces, aligned by
@@ -73,11 +73,11 @@ func DiffTraces(oldRecs, newRecs []telemetry.Record) *DiffReport {
 	}
 
 	// Stage union, old pipeline order first.
-	oldStages := make(map[string]LatencyDist, len(d.Old.Stages))
+	oldStages := make(map[string]telemetry.StageCount, len(d.Old.Stages))
 	for _, s := range d.Old.Stages {
 		oldStages[s.Name] = s
 	}
-	newStages := make(map[string]LatencyDist, len(d.New.Stages))
+	newStages := make(map[string]telemetry.StageCount, len(d.New.Stages))
 	for _, s := range d.New.Stages {
 		newStages[s.Name] = s
 	}
@@ -176,10 +176,10 @@ func (d *DiffReport) String() string {
 		rows = append(rows, []string{
 			s.Name,
 			fmtPair("%d", s.Old.Count, s.New.Count),
-			fmtUS(s.Old.Total) + " → " + fmtUS(s.New.Total),
-			fmtRatio(s.Old.Total, s.New.Total),
-			fmtUS(s.Old.P95) + " → " + fmtUS(s.New.P95),
-			fmtUS(s.Old.P99) + " → " + fmtUS(s.New.P99),
+			fmtUS(s.Old.BusyUS) + " → " + fmtUS(s.New.BusyUS),
+			fmtRatio(s.Old.BusyUS, s.New.BusyUS),
+			fmtUS(s.Old.P95US) + " → " + fmtUS(s.New.P95US),
+			fmtUS(s.Old.P99US) + " → " + fmtUS(s.New.P99US),
 		})
 	}
 	writeAligned(&sb, rows)
@@ -189,10 +189,10 @@ func (d *DiffReport) String() string {
 	rows = append(rows, []string{
 		d.Query.Name,
 		fmtPair("%d", d.Query.Old.Count, d.Query.New.Count),
-		fmtUS(d.Query.Old.Total) + " → " + fmtUS(d.Query.New.Total),
-		fmtRatio(d.Query.Old.Total, d.Query.New.Total),
-		fmtUS(d.Query.Old.P95) + " → " + fmtUS(d.Query.New.P95),
-		fmtUS(d.Query.Old.P99) + " → " + fmtUS(d.Query.New.P99),
+		fmtUS(d.Query.Old.BusyUS) + " → " + fmtUS(d.Query.New.BusyUS),
+		fmtRatio(d.Query.Old.BusyUS, d.Query.New.BusyUS),
+		fmtUS(d.Query.Old.P95US) + " → " + fmtUS(d.Query.New.P95US),
+		fmtUS(d.Query.Old.P99US) + " → " + fmtUS(d.Query.New.P99US),
 	})
 	writeAligned(&sb, rows)
 
@@ -206,8 +206,8 @@ func (d *DiffReport) String() string {
 		for _, e := range shown {
 			rows = append(rows, []string{
 				fmt.Sprintf("p%d", e.Prog),
-				fmtUS(e.Old.QueryTime) + " → " + fmtUS(e.New.QueryTime),
-				fmtRatio(e.Old.QueryTime, e.New.QueryTime),
+				fmtUS(e.Old.QueryTime.Microseconds()) + " → " + fmtUS(e.New.QueryTime.Microseconds()),
+				fmtRatio(e.Old.QueryTime.Microseconds(), e.New.QueryTime.Microseconds()),
 				fmtPair("%d", e.Old.Queries, e.New.Queries),
 				fmtPair("%d", e.Old.Conflicts, e.New.Conflicts),
 				fmtPair("%d", e.Old.Propagations, e.New.Propagations),
@@ -250,7 +250,7 @@ func fmtPair(format string, a, b int64) string {
 
 // fmtRatio renders the new/old multiplier: "×1.00" unchanged, "×8.13" an
 // eightfold regression, "×0.50" an improvement, "new"/"gone" for one-sided.
-func fmtRatio(a, b time.Duration) string {
+func fmtRatio(a, b int64) string {
 	switch {
 	case a == 0 && b == 0:
 		return "—"

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"scamv/internal/telemetry"
 )
@@ -41,16 +40,16 @@ func TestDiffTracesFindsInjectedRegression(t *testing.T) {
 	if testgen == nil {
 		t.Fatal("no testgen stage in diff")
 	}
-	if testgen.Old.Total != 11*time.Millisecond || testgen.New.Total != 88*time.Millisecond {
-		t.Errorf("testgen totals %v → %v, want 11ms → 88ms", testgen.Old.Total, testgen.New.Total)
+	if testgen.Old.BusyUS != 11000 || testgen.New.BusyUS != 88000 {
+		t.Errorf("testgen totals %dµs → %dµs, want 11000 → 88000", testgen.Old.BusyUS, testgen.New.BusyUS)
 	}
 	// Unchanged stages must diff to the identical distribution.
 	for _, s := range d.Stages {
 		if s.Name == "testgen" {
 			continue
 		}
-		if s.Old.Total != s.New.Total || s.Old.Count != s.New.Count {
-			t.Errorf("stage %s moved (%v → %v) despite identical records", s.Name, s.Old.Total, s.New.Total)
+		if s.Old.BusyUS != s.New.BusyUS || s.Old.Count != s.New.Count {
+			t.Errorf("stage %s moved (%dµs → %dµs) despite identical records", s.Name, s.Old.BusyUS, s.New.BusyUS)
 		}
 	}
 
@@ -58,8 +57,8 @@ func TestDiffTracesFindsInjectedRegression(t *testing.T) {
 	if d.Query.Old.Count != 4 || d.Query.New.Count != 4 {
 		t.Errorf("query counts %d/%d, want 4/4", d.Query.Old.Count, d.Query.New.Count)
 	}
-	if d.Query.New.Total != 8*d.Query.Old.Total {
-		t.Errorf("query total %v → %v, want ×8", d.Query.Old.Total, d.Query.New.Total)
+	if d.Query.New.BusyUS != 8*d.Query.Old.BusyUS {
+		t.Errorf("query total %dµs → %dµs, want ×8", d.Query.Old.BusyUS, d.Query.New.BusyUS)
 	}
 	if len(d.Efforts) != 2 {
 		t.Fatalf("efforts = %d programs, want 2", len(d.Efforts))

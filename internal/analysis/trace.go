@@ -11,25 +11,11 @@ import (
 
 // This file ingests telemetry trace files (scamv -trace run.jsonl) and
 // renders the latency side of a campaign: per-stage and per-query
-// p50/p95/p99, and where the solver effort went program by program. It
-// reuses the telemetry fixed-bucket histogram, so the offline quantiles
-// agree with the live progress line's.
-
-// LatencyDist is one latency distribution reconstructed from trace records.
-type LatencyDist struct {
-	Name  string
-	Count int64
-	Total time.Duration
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
-}
-
-func distOf(name string, h *telemetry.Histogram) LatencyDist {
-	d := LatencyDist{Name: name, Count: h.Count(), Total: h.Sum()}
-	d.P50, d.P95, d.P99 = h.Quantiles()
-	return d
-}
+// p50/p95/p99, and where the solver effort went program by program. The
+// aggregates the live Tracer also holds come from telemetry.Replay, which
+// runs the records through the Tracer's own aggregator, so -report and the
+// live view cannot disagree; this file adds only what the Tracer does not
+// keep.
 
 // ProgramEffort is the solver work one program cost during test generation,
 // plus its experiment outcome — the per-program breakdown that shows which
@@ -61,15 +47,15 @@ type TraceReport struct {
 
 	// Stages holds one latency distribution per pipeline stage, in
 	// first-seen (pipeline) order.
-	Stages []LatencyDist
+	Stages []telemetry.StageCount
 
 	// QueryAll is the latency distribution over every solver query;
 	// QueryByStatus splits it by solver outcome (sat, unsat, unknown).
-	QueryAll      LatencyDist
-	QueryByStatus []LatencyDist
+	QueryAll      telemetry.StageCount
+	QueryByStatus []telemetry.StageCount
 
 	// ExecDist is the per-test execution latency (verdict records).
-	ExecDist LatencyDist
+	ExecDist telemetry.StageCount
 
 	// ByProgram is the solver-effort breakdown, sorted by descending
 	// query time.
@@ -92,26 +78,34 @@ type TraceReport struct {
 // PlatformEffort is one matrix platform's verdict counts and execution
 // latency distribution.
 type PlatformEffort struct {
-	Name            string
-	Experiments     int64
-	Counterexamples int64
-	Inconclusive    int64
-	Exec            LatencyDist
+	telemetry.PlatformCount
+	Exec telemetry.StageCount
 }
 
 // AnalyzeTrace aggregates trace records into a report.
 func AnalyzeTrace(recs []telemetry.Record) *TraceReport {
-	r := &TraceReport{}
-	stageHists := make(map[string]*telemetry.Histogram)
-	var stageOrder []string
+	c := telemetry.Replay(recs)
+	r := &TraceReport{
+		Programs: int(c.TotalPrograms),
+		Queries:  c.Queries,
+		Verdicts: c.Experiments,
+		Stages:   c.Stages,
+		QueryAll: telemetry.StageCount{Name: "all", Count: c.Queries, BusyUS: c.QueryTimeUS,
+			P50US: c.QueryP50US, P95US: c.QueryP95US, P99US: c.QueryP99US},
+		Retries:      c.Retries,
+		Timeouts:     c.Timeouts,
+		Skips:        c.Skips,
+		Quarantines:  c.Quarantines,
+		BreakerTrips: c.BreakerTrips,
+	}
+	for _, s := range c.Stages {
+		r.Spans += s.Count
+	}
+
 	statusHists := make(map[string]*telemetry.Histogram)
 	var statusOrder []string
-	var queryHist, execHist telemetry.Histogram
-	type platAgg struct {
-		cex, inconcl int64
-		hist         telemetry.Histogram
-	}
-	platforms := make(map[string]*platAgg)
+	var execHist telemetry.Histogram
+	platExec := make(map[string]*telemetry.Histogram)
 	progs := make(map[int]*ProgramEffort)
 	prog := func(p int) *ProgramEffort {
 		pe := progs[p]
@@ -121,25 +115,12 @@ func AnalyzeTrace(recs []telemetry.Record) *TraceReport {
 		}
 		return pe
 	}
-
 	for _, rec := range recs {
 		d := time.Duration(rec.DurUS) * time.Microsecond
 		switch rec.Kind {
 		case "campaign":
 			r.Campaigns = append(r.Campaigns, rec.Name)
-			r.Programs += rec.Programs
-		case "span":
-			r.Spans++
-			h := stageHists[rec.Stage]
-			if h == nil {
-				h = &telemetry.Histogram{}
-				stageHists[rec.Stage] = h
-				stageOrder = append(stageOrder, rec.Stage)
-			}
-			h.Observe(d)
 		case "query":
-			r.Queries++
-			queryHist.Observe(d)
 			h := statusHists[rec.Status]
 			if h == nil {
 				h = &telemetry.Histogram{}
@@ -157,7 +138,6 @@ func AnalyzeTrace(recs []telemetry.Record) *TraceReport {
 			pe.BlastMisses += rec.BlastMisses
 			pe.AckReads += rec.AckReads
 		case "verdict":
-			r.Verdicts++
 			execHist.Observe(d)
 			pe := prog(rec.Prog)
 			pe.Experiments++
@@ -165,56 +145,22 @@ func AnalyzeTrace(recs []telemetry.Record) *TraceReport {
 				pe.Counterexamples++
 			}
 		case "platform":
-			pa := platforms[rec.Name]
-			if pa == nil {
-				pa = &platAgg{}
-				platforms[rec.Name] = pa
+			h := platExec[rec.Name]
+			if h == nil {
+				h = &telemetry.Histogram{}
+				platExec[rec.Name] = h
 			}
-			pa.hist.Observe(d)
-			switch rec.Verdict {
-			case "counterexample":
-				pa.cex++
-			case "inconclusive":
-				pa.inconcl++
-			}
-		case "retry":
-			r.Retries++
-		case "timeout":
-			r.Timeouts++
-		case "skip":
-			r.Skips++
-		case "quarantine":
-			r.Quarantines++
-		case "breaker":
-			if rec.To == "open" {
-				r.BreakerTrips++
-			}
+			h.Observe(d)
 		}
 	}
 
-	for _, name := range stageOrder {
-		r.Stages = append(r.Stages, distOf(name, stageHists[name]))
-	}
-	r.QueryAll = distOf("all", &queryHist)
 	sort.Strings(statusOrder)
 	for _, st := range statusOrder {
-		r.QueryByStatus = append(r.QueryByStatus, distOf(st, statusHists[st]))
+		r.QueryByStatus = append(r.QueryByStatus, statusHists[st].Summary(st))
 	}
-	r.ExecDist = distOf("execute/test", &execHist)
-	var platNames []string
-	for name := range platforms {
-		platNames = append(platNames, name)
-	}
-	sort.Strings(platNames)
-	for _, name := range platNames {
-		pa := platforms[name]
-		r.Platforms = append(r.Platforms, PlatformEffort{
-			Name:            name,
-			Experiments:     pa.hist.Count(),
-			Counterexamples: pa.cex,
-			Inconclusive:    pa.inconcl,
-			Exec:            distOf(name, &pa.hist),
-		})
+	r.ExecDist = execHist.Summary("execute/test")
+	for _, pc := range c.Platforms {
+		r.Platforms = append(r.Platforms, PlatformEffort{PlatformCount: pc, Exec: platExec[pc.Name].Summary(pc.Name)})
 	}
 	for _, pe := range progs {
 		r.ByProgram = append(r.ByProgram, *pe)
@@ -250,11 +196,11 @@ func (r *TraceReport) String() string {
 	writeDistTable(&sb, "stage", r.Stages)
 
 	fmt.Fprintf(&sb, "\nsolver query latency:\n")
-	dists := append([]LatencyDist{r.QueryAll}, r.QueryByStatus...)
+	dists := append([]telemetry.StageCount{r.QueryAll}, r.QueryByStatus...)
 	writeDistTable(&sb, "status", dists)
 
 	fmt.Fprintf(&sb, "\nexecution latency (per test):\n")
-	writeDistTable(&sb, "", []LatencyDist{r.ExecDist})
+	writeDistTable(&sb, "", []telemetry.StageCount{r.ExecDist})
 
 	if len(r.Platforms) > 0 {
 		fmt.Fprintf(&sb, "\nplatform matrix (per-platform verdicts):\n")
@@ -265,8 +211,8 @@ func (r *TraceReport) String() string {
 				fmt.Sprintf("%d", pe.Experiments),
 				fmt.Sprintf("%d", pe.Counterexamples),
 				fmt.Sprintf("%d", pe.Inconclusive),
-				fmtUS(pe.Exec.Total),
-				fmtUS(pe.Exec.P95),
+				fmtUS(pe.Exec.BusyUS),
+				fmtUS(pe.Exec.P95US),
 			})
 		}
 		writeAligned(&sb, rows)
@@ -284,7 +230,7 @@ func (r *TraceReport) String() string {
 			rows = append(rows, []string{
 				fmt.Sprintf("p%d", pe.Prog),
 				fmt.Sprintf("%d", pe.Queries),
-				fmtUS(pe.QueryTime),
+				fmtUS(pe.QueryTime.Microseconds()),
 				fmt.Sprintf("%d", pe.Conflicts),
 				fmt.Sprintf("%d", pe.Decisions),
 				fmt.Sprintf("%d", pe.Propagations),
@@ -302,11 +248,11 @@ func (r *TraceReport) String() string {
 	return sb.String()
 }
 
-func writeDistTable(sb *strings.Builder, label string, dists []LatencyDist) {
+func writeDistTable(sb *strings.Builder, label string, dists []telemetry.StageCount) {
 	rows := [][]string{{label, "count", "total", "p50", "p95", "p99"}}
 	for _, d := range dists {
 		rows = append(rows, []string{d.Name, fmt.Sprintf("%d", d.Count),
-			fmtUS(d.Total), fmtUS(d.P50), fmtUS(d.P95), fmtUS(d.P99)})
+			fmtUS(d.BusyUS), fmtUS(d.P50US), fmtUS(d.P95US), fmtUS(d.P99US)})
 	}
 	writeAligned(sb, rows)
 }
@@ -332,8 +278,9 @@ func writeAligned(sb *strings.Builder, rows [][]string) {
 	}
 }
 
-// fmtUS renders a duration compactly (µs precision like the trace schema).
-func fmtUS(d time.Duration) string {
+// fmtUS renders a microsecond count compactly.
+func fmtUS(us int64) string {
+	d := time.Duration(us) * time.Microsecond
 	switch {
 	case d == 0:
 		return "0"

@@ -55,16 +55,16 @@ func TestAnalyzeTrace(t *testing.T) {
 			t.Errorf("stage %s count = %d, want 2", d.Name, d.Count)
 		}
 	}
-	if r.Stages[1].Total != 4800*time.Microsecond {
-		t.Errorf("testgen total = %v, want 4.8ms", r.Stages[1].Total)
+	if r.Stages[1].BusyUS != 4800 {
+		t.Errorf("testgen total = %dµs, want 4800", r.Stages[1].BusyUS)
 	}
 	// Quantiles come from log2 buckets: upper bound of the hit bucket,
 	// clamped to the observed max — so p99 equals the max observation.
-	if r.Stages[1].P99 != 4000*time.Microsecond {
-		t.Errorf("testgen p99 = %v, want clamp to max 4ms", r.Stages[1].P99)
+	if r.Stages[1].P99US != 4000 {
+		t.Errorf("testgen p99 = %dµs, want clamp to max 4000", r.Stages[1].P99US)
 	}
 
-	if r.QueryAll.Count != 3 || r.QueryAll.Total != 3800*time.Microsecond {
+	if r.QueryAll.Count != 3 || r.QueryAll.BusyUS != 3800 {
 		t.Errorf("query-all dist wrong: %+v", r.QueryAll)
 	}
 	statuses := map[string]int64{}
@@ -74,7 +74,7 @@ func TestAnalyzeTrace(t *testing.T) {
 	if statuses["sat"] != 2 || statuses["unsat"] != 1 {
 		t.Errorf("status split wrong: %v", statuses)
 	}
-	if r.ExecDist.Count != 3 || r.ExecDist.Total != 135*time.Microsecond {
+	if r.ExecDist.Count != 3 || r.ExecDist.BusyUS != 135 {
 		t.Errorf("exec dist wrong: %+v", r.ExecDist)
 	}
 
@@ -147,7 +147,7 @@ func TestAnalyzeTraceEmpty(t *testing.T) {
 	if r.Spans != 1 || r.QueryAll.Count != 1 || r.ExecDist.Count != 1 {
 		t.Fatalf("zero-duration records lost: %+v", r)
 	}
-	if r.QueryAll.P99 != 0 || r.Stages[0].Total != 0 {
+	if r.QueryAll.P99US != 0 || r.Stages[0].BusyUS != 0 {
 		t.Errorf("zero durations should stay zero: %+v", r.QueryAll)
 	}
 	if s := r.String(); strings.Contains(s, "NaN") {

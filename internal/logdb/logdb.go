@@ -242,68 +242,11 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Load reads all records from a log file.
-func Load(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("logdb: %w", err)
-	}
-	defer f.Close()
-	return Read(f)
-}
-
-// ReadTolerant decodes records like Read but tolerates a torn final line
-// (a crash or kill mid-append): the torn line is dropped and counted instead
-// of failing the whole load, so offline analysis can still see the rest of
-// the log while warning about the truncation. Malformed lines before the
-// final one remain hard errors — those mean corruption, not truncation.
-func ReadTolerant(r io.Reader) (recs []Record, torn int, err error) {
-	var lines [][]byte
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		lines = append(lines, append([]byte(nil), sc.Bytes()...))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("logdb: %w", err)
-	}
-	last := -1
-	for i := len(lines) - 1; i >= 0; i-- {
-		if len(lines[i]) > 0 {
-			last = i
-			break
-		}
-	}
-	for i, b := range lines {
-		if len(b) == 0 {
-			continue
-		}
-		var rec Record
-		if uerr := json.Unmarshal(b, &rec); uerr != nil {
-			if i == last {
-				torn++
-				break
-			}
-			return nil, 0, fmt.Errorf("logdb: line %d: %w", i+1, uerr)
-		}
-		recs = append(recs, rec)
-	}
-	return recs, torn, nil
-}
-
-// LoadTolerant reads a log file via ReadTolerant.
-func LoadTolerant(path string) ([]Record, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("logdb: %w", err)
-	}
-	defer f.Close()
-	return ReadTolerant(f)
-}
-
-// Read decodes records from a reader.
-func Read(r io.Reader) ([]Record, error) {
-	var out []Record
+// read is the one log parser. A malformed line is held back as torn until
+// the input ends: if it was the last non-empty line it is a crash
+// mid-append and reported through torn; any later non-empty line makes it
+// corruption and a hard error.
+func read(r io.Reader) (recs []Record, torn, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -312,14 +255,68 @@ func Read(r io.Reader) ([]Record, error) {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("logdb: line %d: %w", line, err)
+		if torn != nil {
+			return nil, nil, torn
 		}
-		out = append(out, rec)
+		var rec Record
+		if uerr := json.Unmarshal(sc.Bytes(), &rec); uerr != nil {
+			torn = fmt.Errorf("logdb: line %d: %w", line, uerr)
+			continue
+		}
+		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("logdb: %w", err)
+		return nil, nil, fmt.Errorf("logdb: %w", err)
 	}
-	return out, nil
+	return recs, torn, nil
 }
+
+func load(path string) (recs []Record, torn, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("logdb: %w", err)
+	}
+	defer f.Close()
+	return read(f)
+}
+
+// strict refuses a torn final line with the error naming it.
+func strict(recs []Record, torn, err error) ([]Record, error) {
+	if err == nil {
+		err = torn
+	}
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// tolerant drops a torn final line and counts it.
+func tolerant(recs []Record, torn, err error) ([]Record, int, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	if torn != nil {
+		return recs, 1, nil
+	}
+	return recs, 0, nil
+}
+
+// Read decodes records from a reader. A malformed line, including a torn
+// final one, is an error naming the line.
+func Read(r io.Reader) ([]Record, error) { return strict(read(r)) }
+
+// Load reads all records from a log file via Read.
+func Load(path string) ([]Record, error) { return strict(load(path)) }
+
+// ReadTolerant decodes records like Read but tolerates a torn final line
+// (a crash or kill mid-append): the torn line is dropped and counted instead
+// of failing the whole load, so offline analysis can still see the rest of
+// the log while warning about the truncation. Malformed lines before the
+// final one remain hard errors — those mean corruption, not truncation.
+func ReadTolerant(r io.Reader) (recs []Record, torn int, err error) {
+	return tolerant(read(r))
+}
+
+// LoadTolerant reads a log file via ReadTolerant.
+func LoadTolerant(path string) ([]Record, int, error) { return tolerant(load(path)) }

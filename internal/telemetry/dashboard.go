@@ -45,7 +45,7 @@ func sseHandler(t *Tracer) http.HandlerFunc {
 		h.Set("X-Accel-Buffering", "no") // defeat proxy buffering
 
 		emit := func() bool {
-			b, err := json.Marshal(wireSnapshot(t))
+			b, err := json.Marshal(snapshotDoc(t))
 			if err != nil {
 				return false
 			}

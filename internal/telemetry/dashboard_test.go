@@ -58,13 +58,13 @@ func TestSSEStreamTicks(t *testing.T) {
 
 	// Read two event frames: the immediate snapshot plus one tick.
 	sc := bufio.NewScanner(resp.Body)
-	var frames []countersJSON
+	var frames []Counters
 	for sc.Scan() && len(frames) < 2 {
 		line := sc.Text()
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var c countersJSON
+		var c Counters
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &c); err != nil {
 			t.Fatalf("SSE frame is not JSON: %v", err)
 		}
@@ -165,7 +165,7 @@ func TestDebugSnapshotCarriesObservatoryFields(t *testing.T) {
 	tr.PlatformVerdict(0, 0, "a53", "counterexample", time.Millisecond)
 	tr.SetPipelineSource(func() []PipelineStage {
 		return []PipelineStage{{Name: "encode", Workers: 3, In: 5, Out: 4,
-			Busy: time.Millisecond, Wait: 2 * time.Millisecond, Stall: 3 * time.Millisecond}}
+			BusyUS: 1000, WaitUS: 2000, StallUS: 3000}}
 	})
 	fr := tr.StartFlightRecorder(FlightConfig{RingSize: 4, StallThreshold: -1})
 	defer fr.Stop()
@@ -177,7 +177,7 @@ func TestDebugSnapshotCarriesObservatoryFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var c countersJSON
+	var c liveDoc
 	if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestDebugEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var c countersJSON
+	var c Counters
 	if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +34,15 @@ func TestDebugEndpoint(t *testing.T) {
 		t.Errorf("/debug/scamv stages wrong: %+v", c.Stages)
 	}
 
-	for _, path := range []string{"/debug/vars", "/debug/pprof/"} {
+	// pprof is served; the expvar map is not (/metrics and pprof cover it).
+	for path, want := range map[string]int{"/debug/vars": http.StatusNotFound, "/debug/pprof/": http.StatusOK} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 }

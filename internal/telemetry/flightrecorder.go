@@ -207,18 +207,20 @@ func (fr *FlightRecorder) watch() {
 	defer fr.wg.Done()
 	tick := time.NewTicker(fr.cfg.SampleInterval)
 	defer tick.Stop()
-	prev := make(map[string]time.Duration)
+	prev := make(map[string]int64)
+	threshold := fr.cfg.StallThreshold.Microseconds()
 	for {
 		select {
 		case <-fr.stop:
 			return
 		case <-tick.C:
 			for _, ps := range fr.tr.pipelineSnapshot() {
-				watermark(&fr.maxStallUS, ps.Stall.Microseconds())
-				delta := ps.Stall - prev[ps.Name]
-				prev[ps.Name] = ps.Stall
-				if delta > fr.cfg.StallThreshold {
-					fr.TriggerCapture(fmt.Sprintf("stage-stall %s +%s/%s", ps.Name, delta, fr.cfg.SampleInterval))
+				watermark(&fr.maxStallUS, ps.StallUS)
+				delta := ps.StallUS - prev[ps.Name]
+				prev[ps.Name] = ps.StallUS
+				if delta > threshold {
+					fr.TriggerCapture(fmt.Sprintf("stage-stall %s +%s/%s", ps.Name,
+						time.Duration(delta)*time.Microsecond, fr.cfg.SampleInterval))
 				}
 			}
 		}
@@ -373,12 +375,12 @@ func (fr *FlightRecorder) writeBundle(reason string, now time.Time) (string, err
 	meta := struct {
 		Reason     string       `json:"reason"`
 		CapturedAt string       `json:"captured_at"`
-		Counters   countersJSON `json:"counters"`
+		Counters   Counters     `json:"counters"`
 		Flight     FlightStatus `json:"flight"`
 	}{
 		Reason:     reason,
 		CapturedAt: now.UTC().Format(time.RFC3339Nano),
-		Counters:   countersWire(fr.tr.Snapshot()),
+		Counters:   fr.tr.Snapshot(),
 		Flight:     fr.Status(),
 	}
 	mb, err := json.MarshalIndent(meta, "", "  ")

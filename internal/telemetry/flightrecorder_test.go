@@ -100,7 +100,7 @@ func assertBundle(t *testing.T, dir, wantReason string) {
 	}
 	var meta struct {
 		Reason   string       `json:"reason"`
-		Counters countersJSON `json:"counters"`
+		Counters Counters     `json:"counters"`
 		Flight   FlightStatus `json:"flight"`
 	}
 	if err := json.Unmarshal(mb, &meta); err != nil {
@@ -129,7 +129,7 @@ func TestFlightStallWatchdog(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		stall += time.Second
-		return []PipelineStage{{Name: "execute", Workers: 1, Stall: stall}}
+		return []PipelineStage{{Name: "execute", Workers: 1, StallUS: stall.Microseconds()}}
 	})
 	fr := tr.StartFlightRecorder(FlightConfig{
 		RingSize:       16,

@@ -142,3 +142,11 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 func (h *Histogram) Quantiles() (p50, p95, p99 time.Duration) {
 	return h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
 }
+
+// Summary is the histogram as one latency distribution row: count, total
+// (BusyUS) and the p50/p95/p99 estimates, all in microseconds.
+func (h *Histogram) Summary(name string) StageCount {
+	p50, p95, p99 := h.Quantiles()
+	return StageCount{Name: name, Count: h.Count(), BusyUS: h.sumUS.Load(),
+		P50US: p50.Microseconds(), P95US: p95.Microseconds(), P99US: p99.Microseconds()}
+}

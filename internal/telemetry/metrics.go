@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 )
 
 // MetricsContentType is the Prometheus text exposition content type.
@@ -26,122 +27,105 @@ func MetricsHandler(t *Tracer) http.Handler {
 	})
 }
 
+// family is one /metrics family read from rows of type T: the Counters
+// snapshot, a platform, a stage, or the flight recorder's status. Values of
+// families named *_seconds* are held in microseconds and rendered in seconds.
+type family[T any] struct {
+	name, typ, help string
+	get             func(*T) int64
+}
+
+// scalarFamilies are the unlabelled families, in exposition order.
+var scalarFamilies = []family[Counters]{
+	{"scamv_elapsed_seconds", "gauge", "Seconds since the tracer started.", func(c *Counters) int64 { return c.ElapsedUS }},
+	{"scamv_programs_expected", "gauge", "Programs the running campaigns expect to process in total.", func(c *Counters) int64 { return c.TotalPrograms }},
+	{"scamv_programs_completed_total", "counter", "Programs fully processed (all tests executed).", func(c *Counters) int64 { return c.Programs }},
+	{"scamv_experiments_total", "counter", "Executed test cases.", func(c *Counters) int64 { return c.Experiments }},
+	{"scamv_counterexamples_total", "counter", "Test cases the platform distinguished but the model equates.", func(c *Counters) int64 { return c.Counterexamples }},
+	{"scamv_inconclusive_total", "counter", "Test cases with inconclusive verdicts.", func(c *Counters) int64 { return c.Inconclusive }},
+	{"scamv_solver_queries_total", "counter", "Solver queries issued during test-case generation.", func(c *Counters) int64 { return c.Queries }},
+	{"scamv_solver_conflicts_total", "counter", "CDCL conflicts summed over all queries.", func(c *Counters) int64 { return c.Conflicts }},
+	{"scamv_solver_decisions_total", "counter", "CDCL decisions summed over all queries.", func(c *Counters) int64 { return c.Decisions }},
+	{"scamv_solver_propagations_total", "counter", "CDCL unit propagations summed over all queries.", func(c *Counters) int64 { return c.Propagations }},
+	{"scamv_blast_cache_hits_total", "counter", "Bit-blast cache hits.", func(c *Counters) int64 { return c.BlastHits }},
+	{"scamv_blast_cache_misses_total", "counter", "Bit-blast cache misses.", func(c *Counters) int64 { return c.BlastMisses }},
+	{"scamv_ackermann_reads_total", "counter", "Ackermann memory-read expansions.", func(c *Counters) int64 { return c.AckReads }},
+	{"scamv_retries_total", "counter", "Platform-execution retries.", func(c *Counters) int64 { return c.Retries }},
+	{"scamv_timeouts_total", "counter", "Platform attempts that hit their deadline.", func(c *Counters) int64 { return c.Timeouts }},
+	{"scamv_skips_total", "counter", "Tests abandoned under FailPolicy Degrade.", func(c *Counters) int64 { return c.Skips }},
+	{"scamv_quarantines_total", "counter", "Programs quarantined after consecutive failures.", func(c *Counters) int64 { return c.Quarantines }},
+	{"scamv_breaker_trips_total", "counter", "Circuit-breaker transitions into the open state.", func(c *Counters) int64 { return c.BreakerTrips }},
+	{"scamv_resumed_programs_total", "counter", "Programs restored from campaign journals instead of re-run.", func(c *Counters) int64 { return c.ResumedPrograms }},
+	{"scamv_checkpoints_total", "counter", "Durable campaign checkpoints written.", func(c *Counters) int64 { return c.Checkpoints }},
+}
+
+var platformFamilies = []family[PlatformCount]{
+	{"scamv_platform_experiments_total", "counter", "Executed tests per matrix platform.", func(p *PlatformCount) int64 { return p.Experiments }},
+	{"scamv_platform_counterexamples_total", "counter", "Counterexamples per matrix platform.", func(p *PlatformCount) int64 { return p.Counterexamples }},
+	{"scamv_platform_inconclusive_total", "counter", "Inconclusive verdicts per matrix platform.", func(p *PlatformCount) int64 { return p.Inconclusive }},
+}
+
+// Stage-level work accounting. Busy comes from the span histograms, so it
+// exists whenever spans were traced; wait/stall/items/workers come from the
+// staged engine's live pipeline source when one is registered.
+var stageFamilies = []family[StageCount]{
+	{"scamv_stage_busy_seconds_total", "counter", "Work time inside each pipeline stage, summed over workers.", func(s *StageCount) int64 { return s.BusyUS }},
+}
+
+var pipelineFamilies = []family[PipelineStage]{
+	{"scamv_stage_wait_seconds_total", "counter", "Input starvation per stage: time blocked receiving upstream items.", func(s *PipelineStage) int64 { return s.WaitUS }},
+	{"scamv_stage_stall_seconds_total", "counter", "Output backpressure per stage: time blocked sending downstream.", func(s *PipelineStage) int64 { return s.StallUS }},
+	{"scamv_stage_items_in_total", "counter", "Items received per stage.", func(s *PipelineStage) int64 { return s.In }},
+	{"scamv_stage_items_out_total", "counter", "Items emitted per stage.", func(s *PipelineStage) int64 { return s.Out }},
+	{"scamv_stage_workers", "gauge", "Worker-pool size per stage.", func(s *PipelineStage) int64 { return int64(s.Workers) }},
+}
+
+var flightFamilies = []family[FlightStatus]{
+	{"scamv_flight_events_total", "counter", "Trace records seen by the flight-recorder ring.", func(f *FlightStatus) int64 { return f.Events }},
+	{"scamv_flight_dropped_total", "counter", "Ring records overwritten by newer ones.", func(f *FlightStatus) int64 { return f.Dropped }},
+	{"scamv_flight_captures_total", "counter", "Anomaly bundles captured.", func(f *FlightStatus) int64 { return f.Captures }},
+	{"scamv_flight_max_query_seconds", "gauge", "Slowest solver query observed (watermark).", func(f *FlightStatus) int64 { return f.MaxQueryUS }},
+	{"scamv_flight_max_stall_seconds", "gauge", "Largest cumulative stage stall observed (watermark).", func(f *FlightStatus) int64 { return f.MaxStallUS }},
+}
+
+// writeFamilies renders each family with one sample per row, labelled
+// label=key(row) when a label is given. No rows, no families.
+func writeFamilies[T any](m *promWriter, fams []family[T], rows []T, label string, key func(*T) string) {
+	if len(rows) == 0 {
+		return
+	}
+	for _, f := range fams {
+		m.family(f.name, f.typ, f.help)
+		for i := range rows {
+			var labels [][2]string
+			if label != "" {
+				labels = [][2]string{{label, key(&rows[i])}}
+			}
+			v := f.get(&rows[i])
+			if strings.Contains(f.name, "_seconds") {
+				m.sample(f.name, labels, secs(v))
+			} else {
+				m.sample(f.name, labels, ival(v))
+			}
+		}
+	}
+}
+
 // WriteMetrics renders the tracer's live aggregates as Prometheus text.
 // Safe on a nil tracer (renders the static zero families).
 func (t *Tracer) WriteMetrics(w io.Writer) {
 	c := t.Snapshot()
 	m := &promWriter{w: w}
-
-	m.family("scamv_elapsed_seconds", "gauge", "Seconds since the tracer started.")
-	m.sample("scamv_elapsed_seconds", nil, secs(c.Elapsed.Microseconds()))
-
-	m.family("scamv_programs_expected", "gauge", "Programs the running campaigns expect to process in total.")
-	m.sample("scamv_programs_expected", nil, ival(c.TotalPrograms))
-	m.family("scamv_programs_completed_total", "counter", "Programs fully processed (all tests executed).")
-	m.sample("scamv_programs_completed_total", nil, ival(c.Programs))
-	m.family("scamv_experiments_total", "counter", "Executed test cases.")
-	m.sample("scamv_experiments_total", nil, ival(c.Experiments))
-	m.family("scamv_counterexamples_total", "counter", "Test cases the platform distinguished but the model equates.")
-	m.sample("scamv_counterexamples_total", nil, ival(c.Counterexamples))
-	m.family("scamv_inconclusive_total", "counter", "Test cases with inconclusive verdicts.")
-	m.sample("scamv_inconclusive_total", nil, ival(c.Inconclusive))
-
-	m.family("scamv_solver_queries_total", "counter", "Solver queries issued during test-case generation.")
-	m.sample("scamv_solver_queries_total", nil, ival(c.Queries))
-	m.family("scamv_solver_conflicts_total", "counter", "CDCL conflicts summed over all queries.")
-	m.sample("scamv_solver_conflicts_total", nil, ival(c.Conflicts))
-	m.family("scamv_solver_decisions_total", "counter", "CDCL decisions summed over all queries.")
-	m.sample("scamv_solver_decisions_total", nil, ival(c.Decisions))
-	m.family("scamv_solver_propagations_total", "counter", "CDCL unit propagations summed over all queries.")
-	m.sample("scamv_solver_propagations_total", nil, ival(c.Propagations))
-	m.family("scamv_blast_cache_hits_total", "counter", "Bit-blast cache hits.")
-	m.sample("scamv_blast_cache_hits_total", nil, ival(c.BlastHits))
-	m.family("scamv_blast_cache_misses_total", "counter", "Bit-blast cache misses.")
-	m.sample("scamv_blast_cache_misses_total", nil, ival(c.BlastMisses))
-	m.family("scamv_ackermann_reads_total", "counter", "Ackermann memory-read expansions.")
-	m.sample("scamv_ackermann_reads_total", nil, ival(c.AckReads))
-
-	m.family("scamv_retries_total", "counter", "Platform-execution retries.")
-	m.sample("scamv_retries_total", nil, ival(c.Retries))
-	m.family("scamv_timeouts_total", "counter", "Platform attempts that hit their deadline.")
-	m.sample("scamv_timeouts_total", nil, ival(c.Timeouts))
-	m.family("scamv_skips_total", "counter", "Tests abandoned under FailPolicy Degrade.")
-	m.sample("scamv_skips_total", nil, ival(c.Skips))
-	m.family("scamv_quarantines_total", "counter", "Programs quarantined after consecutive failures.")
-	m.sample("scamv_quarantines_total", nil, ival(c.Quarantines))
-	m.family("scamv_breaker_trips_total", "counter", "Circuit-breaker transitions into the open state.")
-	m.sample("scamv_breaker_trips_total", nil, ival(c.BreakerTrips))
-
-	m.family("scamv_resumed_programs_total", "counter", "Programs restored from campaign journals instead of re-run.")
-	m.sample("scamv_resumed_programs_total", nil, ival(c.ResumedPrograms))
-	m.family("scamv_checkpoints_total", "counter", "Durable campaign checkpoints written.")
-	m.sample("scamv_checkpoints_total", nil, ival(c.Checkpoints))
-
-	if len(c.Platforms) > 0 {
-		m.family("scamv_platform_experiments_total", "counter", "Executed tests per matrix platform.")
-		for _, p := range c.Platforms {
-			m.sample("scamv_platform_experiments_total",
-				[][2]string{{"platform", p.Name}}, ival(p.Experiments))
-		}
-		m.family("scamv_platform_counterexamples_total", "counter", "Counterexamples per matrix platform.")
-		for _, p := range c.Platforms {
-			m.sample("scamv_platform_counterexamples_total",
-				[][2]string{{"platform", p.Name}}, ival(p.Counterexamples))
-		}
-		m.family("scamv_platform_inconclusive_total", "counter", "Inconclusive verdicts per matrix platform.")
-		for _, p := range c.Platforms {
-			m.sample("scamv_platform_inconclusive_total",
-				[][2]string{{"platform", p.Name}}, ival(p.Inconclusive))
-		}
-	}
-
-	// Stage-level work accounting. Busy comes from the span histograms, so
-	// it exists whenever spans were traced; wait/stall/items/workers come
-	// from the staged engine's live pipeline source when one is registered.
-	if len(c.Stages) > 0 {
-		m.family("scamv_stage_busy_seconds_total", "counter", "Work time inside each pipeline stage, summed over workers.")
-		for _, s := range c.Stages {
-			m.sample("scamv_stage_busy_seconds_total",
-				[][2]string{{"stage", s.Name}}, secs(s.Busy.Microseconds()))
-		}
-	}
-	if len(c.Pipeline) > 0 {
-		m.family("scamv_stage_wait_seconds_total", "counter", "Input starvation per stage: time blocked receiving upstream items.")
-		for _, s := range c.Pipeline {
-			m.sample("scamv_stage_wait_seconds_total",
-				[][2]string{{"stage", s.Name}}, secs(s.Wait.Microseconds()))
-		}
-		m.family("scamv_stage_stall_seconds_total", "counter", "Output backpressure per stage: time blocked sending downstream.")
-		for _, s := range c.Pipeline {
-			m.sample("scamv_stage_stall_seconds_total",
-				[][2]string{{"stage", s.Name}}, secs(s.Stall.Microseconds()))
-		}
-		m.family("scamv_stage_items_in_total", "counter", "Items received per stage.")
-		for _, s := range c.Pipeline {
-			m.sample("scamv_stage_items_in_total",
-				[][2]string{{"stage", s.Name}}, ival(s.In))
-		}
-		m.family("scamv_stage_items_out_total", "counter", "Items emitted per stage.")
-		for _, s := range c.Pipeline {
-			m.sample("scamv_stage_items_out_total",
-				[][2]string{{"stage", s.Name}}, ival(s.Out))
-		}
-		m.family("scamv_stage_workers", "gauge", "Worker-pool size per stage.")
-		for _, s := range c.Pipeline {
-			m.sample("scamv_stage_workers",
-				[][2]string{{"stage", s.Name}}, ival(int64(s.Workers)))
-		}
-	}
+	writeFamilies(m, scalarFamilies, []Counters{c}, "", nil)
+	writeFamilies(m, platformFamilies, c.Platforms, "platform", func(p *PlatformCount) string { return p.Name })
+	writeFamilies(m, stageFamilies, c.Stages, "stage", func(s *StageCount) string { return s.Name })
+	writeFamilies(m, pipelineFamilies, c.Pipeline, "stage", func(s *PipelineStage) string { return s.Name })
 
 	// Native histograms from the fixed log2 buckets.
 	if t != nil {
 		m.family("scamv_query_duration_seconds", "histogram", "Solver query latency.")
 		m.histogram("scamv_query_duration_seconds", nil, &t.queryHist)
-
-		t.stagesMu.RLock()
-		order := append([]*stageAgg(nil), t.order...)
-		t.stagesMu.RUnlock()
-		if len(order) > 0 {
+		if order := t.stageOrder(); len(order) > 0 {
 			m.family("scamv_stage_duration_seconds", "histogram", "Per-program span latency by pipeline stage.")
 			for _, a := range order {
 				m.histogram("scamv_stage_duration_seconds",
@@ -152,17 +136,7 @@ func (t *Tracer) WriteMetrics(w io.Writer) {
 
 	// Flight-recorder watermarks, when one is attached.
 	if fr := t.FlightRecorder(); fr != nil {
-		st := fr.Status()
-		m.family("scamv_flight_events_total", "counter", "Trace records seen by the flight-recorder ring.")
-		m.sample("scamv_flight_events_total", nil, ival(st.Events))
-		m.family("scamv_flight_dropped_total", "counter", "Ring records overwritten by newer ones.")
-		m.sample("scamv_flight_dropped_total", nil, ival(st.Dropped))
-		m.family("scamv_flight_captures_total", "counter", "Anomaly bundles captured.")
-		m.sample("scamv_flight_captures_total", nil, ival(st.Captures))
-		m.family("scamv_flight_max_query_seconds", "gauge", "Slowest solver query observed (watermark).")
-		m.sample("scamv_flight_max_query_seconds", nil, secs(st.MaxQueryUS))
-		m.family("scamv_flight_max_stall_seconds", "gauge", "Largest cumulative stage stall observed (watermark).")
-		m.sample("scamv_flight_max_stall_seconds", nil, secs(st.MaxStallUS))
+		writeFamilies(m, flightFamilies, []FlightStatus{fr.Status()}, "", nil)
 	}
 }
 

@@ -175,7 +175,7 @@ func TestWriteMetricsParsesAndCounts(t *testing.T) {
 	tr.SetPipelineSource(func() []PipelineStage {
 		return []PipelineStage{
 			{Name: "testgen", Workers: 2, In: 1, Out: 1,
-				Busy: 3 * time.Millisecond, Wait: time.Millisecond, Stall: 2 * time.Millisecond},
+				BusyUS: 3000, WaitUS: 1000, StallUS: 2000},
 		}
 	})
 

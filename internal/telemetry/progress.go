@@ -57,18 +57,18 @@ func RenderProgress(cur, prev Counters, dt time.Duration) string {
 	// Busy share over the interval: how the pipeline's working time divided
 	// across stages since the previous tick. Relative shares rank the
 	// bottleneck without knowing per-stage worker counts.
-	deltas := make(map[string]time.Duration, len(prev.Stages))
+	deltas := make(map[string]int64, len(prev.Stages))
 	for _, s := range prev.Stages {
-		deltas[s.Name] = s.Busy
+		deltas[s.Name] = s.BusyUS
 	}
-	var total time.Duration
+	var total int64
 	type share struct {
 		name string
-		busy time.Duration
+		busy int64
 	}
 	var shares []share
 	for _, s := range cur.Stages {
-		d := s.Busy - deltas[s.Name]
+		d := s.BusyUS - deltas[s.Name]
 		if d < 0 {
 			d = 0
 		}

@@ -7,10 +7,15 @@
 //     pipeline span, per solver query (with SAT counter deltas, blast-cache
 //     hits/misses, and Ackermann expansion counts), and per experiment
 //     verdict — reloadable by ReadTrace for offline latency analysis;
-//   - live aggregates (Snapshot) feeding the periodic progress line on
-//     stderr and the expvar/pprof debug endpoint;
+//   - live aggregates (Snapshot, one Counters struct) feeding the periodic
+//     progress line on stderr, /metrics, and the /debug/scamv JSON and SSE
+//     documents;
 //   - per-stage and per-query latency histograms (fixed log2 buckets, no
 //     floats in the hot path).
+//
+// Every event method builds its Record and hands it to one aggregator,
+// observe, before writing it; Replay runs a loaded trace through the same
+// aggregator, so the offline -report and the live view cannot disagree.
 //
 // A nil *Tracer is fully functional and free: every method starts with a
 // single pointer check, so the disabled pipeline pays one compare-and-branch
@@ -145,14 +150,14 @@ type Tracer struct {
 	closer io.Closer
 	werr   error // first write error, sticky
 
-	// Aggregates for the progress line and the debug endpoint.
+	// Live aggregates. Only observe changes them (ProgramDone aside: a
+	// program completion has no trace record).
 	totalPrograms   atomic.Int64
 	programs        atomic.Int64
 	experiments     atomic.Int64
 	counterexamples atomic.Int64
 	inconclusive    atomic.Int64
 
-	queries      atomic.Int64
 	queryHist    Histogram
 	conflicts    atomic.Int64
 	decisions    atomic.Int64
@@ -197,13 +202,13 @@ type Tracer struct {
 // only materializes at the end). Wait is input starvation, Stall is output
 // backpressure — the pair that ranks the bottleneck stage live.
 type PipelineStage struct {
-	Name    string
-	Workers int
-	In      int64
-	Out     int64
-	Busy    time.Duration
-	Wait    time.Duration
-	Stall   time.Duration
+	Name    string `json:"name"`
+	Workers int    `json:"workers"`
+	In      int64  `json:"in"`
+	Out     int64  `json:"out"`
+	BusyUS  int64  `json:"busy_us"`
+	WaitUS  int64  `json:"wait_us"`
+	StallUS int64  `json:"stall_us"`
 }
 
 // SetPipelineSource registers a live per-stage metrics provider (the staged
@@ -287,11 +292,13 @@ func (t *Tracer) Enabled() bool { return t != nil }
 // now returns microseconds since the tracer started.
 func (t *Tracer) now() int64 { return time.Since(t.start).Microseconds() }
 
-// record stamps the schema version on one record, feeds it to the flight
-// recorder's ring (when one is attached), and appends it to the trace file
-// (when one is open). Every event method funnels through here, so the ring
-// sees exactly the records the trace would.
+// record folds one record into the live aggregates, stamps the schema
+// version on it, feeds it to the flight recorder's ring (when one is
+// attached), and appends it to the trace file (when one is open). Every
+// event method funnels through here, so the aggregates, the ring and the
+// trace see exactly the same records.
 func (t *Tracer) record(rec *Record) {
+	t.observe(rec)
 	rec.V = SchemaVersion
 	if fr := t.fr.Load(); fr != nil {
 		fr.add(rec)
@@ -324,14 +331,13 @@ func (t *Tracer) write(rec *Record) {
 	}
 }
 
-// BeginCampaign records a campaign-start record and adds the expected
-// program count to the progress denominator. Multiple campaigns may share
-// one tracer (cmd/scamv runs several per invocation).
+// BeginCampaign records a campaign-start record; its expected program count
+// joins the progress denominator. Multiple campaigns may share one tracer
+// (cmd/scamv runs several per invocation).
 func (t *Tracer) BeginCampaign(name string, programs int) {
 	if t == nil {
 		return
 	}
-	t.totalPrograms.Add(int64(programs))
 	t.record(&Record{Kind: "campaign", TSus: t.now(), Name: name, Programs: programs})
 }
 
@@ -353,6 +359,74 @@ func (t *Tracer) stage(name string) *stageAgg {
 	return a
 }
 
+// observe folds one record into the live aggregates. It is the only code
+// that changes them, for live events and replayed traces alike. Durations
+// are taken from the record's microseconds, which is also what the
+// histograms bucket on, so a replay reproduces the live aggregates exactly.
+// Kinds it does not know (the retired v3 "shape") are ignored.
+func (t *Tracer) observe(rec *Record) {
+	d := time.Duration(rec.DurUS) * time.Microsecond
+	switch rec.Kind {
+	case "campaign":
+		t.totalPrograms.Add(int64(rec.Programs))
+	case "span":
+		t.stage(rec.Stage).hist.Observe(d)
+	case "query":
+		t.queryHist.Observe(d)
+		t.conflicts.Add(rec.Conflicts)
+		t.decisions.Add(rec.Decisions)
+		t.propagations.Add(rec.Propagations)
+		t.blastHits.Add(rec.BlastHits)
+		t.blastMisses.Add(rec.BlastMisses)
+		t.ackReads.Add(rec.AckReads)
+	case "verdict":
+		t.experiments.Add(1)
+		switch rec.Verdict {
+		case "counterexample":
+			t.counterexamples.Add(1)
+		case "inconclusive":
+			t.inconclusive.Add(1)
+		}
+	case "platform":
+		t.platMu.Lock()
+		if t.platforms == nil {
+			t.platforms = make(map[string]*PlatformCount)
+		}
+		pc := t.platforms[rec.Name]
+		if pc == nil {
+			pc = &PlatformCount{Name: rec.Name}
+			t.platforms[rec.Name] = pc
+		}
+		pc.Experiments++
+		switch rec.Verdict {
+		case "counterexample":
+			pc.Counterexamples++
+		case "inconclusive":
+			pc.Inconclusive++
+		}
+		t.platMu.Unlock()
+	case "retry":
+		t.retries.Add(1)
+	case "timeout":
+		t.timeouts.Add(1)
+	case "skip":
+		t.skips.Add(1)
+	case "quarantine":
+		t.quarantines.Add(1)
+	case "breaker":
+		if rec.To == "open" {
+			t.breakerTrips.Add(1)
+		}
+	case "resume":
+		// Restored programs count as completed too, so the progress line
+		// starts at N/P instead of replaying from zero.
+		t.resumedPrograms.Add(int64(rec.Programs))
+		t.programs.Add(int64(rec.Programs))
+	case "checkpoint":
+		t.checkpoints.Add(1)
+	}
+}
+
 // Span records one pipeline stage's work on one program, measured from
 // start to now. Call it at the end of the stage body:
 //
@@ -363,9 +437,8 @@ func (t *Tracer) Span(stage string, prog int, start time.Time) {
 	if t == nil {
 		return
 	}
-	d := time.Since(start)
-	t.stage(stage).hist.Observe(d)
-	t.record(&Record{Kind: "span", TSus: t.now(), Prog: prog, Stage: stage, DurUS: d.Microseconds()})
+	t.record(&Record{Kind: "span", TSus: t.now(), Prog: prog, Stage: stage,
+		DurUS: time.Since(start).Microseconds()})
 }
 
 // Query records one solver query with its effort deltas.
@@ -373,14 +446,6 @@ func (t *Tracer) Query(ev QueryEvent) {
 	if t == nil {
 		return
 	}
-	t.queries.Add(1)
-	t.queryHist.Observe(ev.Dur)
-	t.conflicts.Add(ev.Conflicts)
-	t.decisions.Add(ev.Decisions)
-	t.propagations.Add(ev.Propagations)
-	t.blastHits.Add(ev.BlastHits)
-	t.blastMisses.Add(ev.BlastMisses)
-	t.ackReads.Add(ev.AckReads)
 	t.record(&Record{
 		Kind: "query", TSus: t.now(), Prog: ev.Prog,
 		PathA: ev.PathA, PathB: ev.PathB, Class: ev.Class, Slot: ev.Slot,
@@ -398,13 +463,6 @@ func (t *Tracer) Verdict(prog, test int, verdict string, dur time.Duration) {
 	if t == nil {
 		return
 	}
-	t.experiments.Add(1)
-	switch verdict {
-	case "counterexample":
-		t.counterexamples.Add(1)
-	case "inconclusive":
-		t.inconclusive.Add(1)
-	}
 	t.record(&Record{Kind: "verdict", TSus: t.now(), Prog: prog, Test: test,
 		Verdict: verdict, DurUS: dur.Microseconds()})
 }
@@ -417,23 +475,6 @@ func (t *Tracer) PlatformVerdict(prog, test int, platform, verdict string, dur t
 	if t == nil {
 		return
 	}
-	t.platMu.Lock()
-	if t.platforms == nil {
-		t.platforms = make(map[string]*PlatformCount)
-	}
-	pc := t.platforms[platform]
-	if pc == nil {
-		pc = &PlatformCount{Name: platform}
-		t.platforms[platform] = pc
-	}
-	pc.Experiments++
-	switch verdict {
-	case "counterexample":
-		pc.Counterexamples++
-	case "inconclusive":
-		pc.Inconclusive++
-	}
-	t.platMu.Unlock()
 	t.record(&Record{Kind: "platform", TSus: t.now(), Prog: prog, Test: test,
 		Name: platform, Verdict: verdict, DurUS: dur.Microseconds()})
 }
@@ -444,7 +485,6 @@ func (t *Tracer) Retry(prog, test, attempt int, reason string) {
 	if t == nil {
 		return
 	}
-	t.retries.Add(1)
 	t.record(&Record{Kind: "retry", TSus: t.now(), Prog: prog, Test: test,
 		Attempt: attempt, Reason: reason})
 }
@@ -454,7 +494,6 @@ func (t *Tracer) Timeout(prog, test, attempt int) {
 	if t == nil {
 		return
 	}
-	t.timeouts.Add(1)
 	t.record(&Record{Kind: "timeout", TSus: t.now(), Prog: prog, Test: test, Attempt: attempt})
 }
 
@@ -463,7 +502,6 @@ func (t *Tracer) Skip(prog, test int, reason string) {
 	if t == nil {
 		return
 	}
-	t.skips.Add(1)
 	t.record(&Record{Kind: "skip", TSus: t.now(), Prog: prog, Test: test, Reason: reason})
 }
 
@@ -473,35 +511,28 @@ func (t *Tracer) Quarantine(prog int, reason string) {
 	if t == nil {
 		return
 	}
-	t.quarantines.Add(1)
 	t.record(&Record{Kind: "quarantine", TSus: t.now(), Prog: prog, Reason: reason})
 }
 
 // Breaker records one circuit-breaker state transition; transitions into the
-// open state count as trips.
+// open state count as trips and fire the flight recorder's breaker trigger.
 func (t *Tracer) Breaker(name, from, to string) {
 	if t == nil {
 		return
 	}
-	if to == "open" {
-		t.breakerTrips.Add(1)
-		if fr := t.fr.Load(); fr != nil {
-			fr.noteBreaker(name)
-		}
-	}
 	t.record(&Record{Kind: "breaker", TSus: t.now(), Name: name, From: from, To: to})
+	if fr := t.fr.Load(); fr != nil && to == "open" {
+		fr.noteBreaker(name)
+	}
 }
 
 // Resume records a campaign restoring a journaled prefix of programs
 // completed before a restart. The restored count feeds both the resumed
-// counter and the completed-programs counter, so the progress line starts at
-// N/P instead of replaying from zero.
+// counter and the completed-programs counter.
 func (t *Tracer) Resume(name string, programs int) {
 	if t == nil {
 		return
 	}
-	t.resumedPrograms.Add(int64(programs))
-	t.programs.Add(int64(programs))
 	t.record(&Record{Kind: "resume", TSus: t.now(), Name: name, Programs: programs})
 }
 
@@ -511,7 +542,6 @@ func (t *Tracer) Checkpoint(programs int) {
 	if t == nil {
 		return
 	}
-	t.checkpoints.Add(1)
 	t.record(&Record{Kind: "checkpoint", TSus: t.now(), Programs: programs})
 }
 
@@ -525,67 +555,71 @@ func (t *Tracer) ProgramDone() {
 
 // PlatformCount is one matrix platform's live verdict aggregate.
 type PlatformCount struct {
-	Name            string
-	Experiments     int64
-	Counterexamples int64
-	Inconclusive    int64
+	Name            string `json:"name"`
+	Experiments     int64  `json:"experiments"`
+	Counterexamples int64  `json:"counterexamples"`
+	Inconclusive    int64  `json:"inconclusive"`
 }
 
-// StageCount is one stage's live aggregate in a Counters snapshot.
+// StageCount is one latency distribution: a stage's spans in a Counters
+// snapshot, or any other histogram summarized by Histogram.Summary. BusyUS
+// is the distribution's total time.
 type StageCount struct {
-	Name  string
-	Count int64
-	Busy  time.Duration
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
+	Name   string `json:"name"`
+	Count  int64  `json:"count"`
+	BusyUS int64  `json:"busy_us"`
+	P50US  int64  `json:"p50_us"`
+	P95US  int64  `json:"p95_us"`
+	P99US  int64  `json:"p99_us"`
 }
 
-// Counters is a point-in-time copy of the tracer's aggregates, consumed by
-// the progress sampler and the debug endpoint.
+// Counters is a point-in-time copy of the tracer's aggregates: the one
+// definition behind the progress line, /metrics, and the /debug/scamv, SSE
+// and flight-bundle JSON documents, whose keys are its JSON tags. Durations
+// are integer microseconds, the resolution every histogram buckets at.
 type Counters struct {
-	Elapsed time.Duration
+	ElapsedUS int64 `json:"elapsed_us"`
 
-	TotalPrograms   int64
-	Programs        int64
-	Experiments     int64
-	Counterexamples int64
-	Inconclusive    int64
+	TotalPrograms   int64 `json:"total_programs"`
+	Programs        int64 `json:"programs"`
+	Experiments     int64 `json:"experiments"`
+	Counterexamples int64 `json:"counterexamples"`
+	Inconclusive    int64 `json:"inconclusive"`
 
-	Queries      int64
-	QueryTime    time.Duration
-	QueryP50     time.Duration
-	QueryP95     time.Duration
-	QueryP99     time.Duration
-	Conflicts    int64
-	Decisions    int64
-	Propagations int64
-	BlastHits    int64
-	BlastMisses  int64
-	AckReads     int64
+	Queries      int64 `json:"queries"`
+	QueryTimeUS  int64 `json:"query_time_us"`
+	QueryP50US   int64 `json:"query_p50_us"`
+	QueryP95US   int64 `json:"query_p95_us"`
+	QueryP99US   int64 `json:"query_p99_us"`
+	Conflicts    int64 `json:"conflicts"`
+	Decisions    int64 `json:"decisions"`
+	Propagations int64 `json:"propagations"`
+	BlastHits    int64 `json:"blast_hits"`
+	BlastMisses  int64 `json:"blast_misses"`
+	AckReads     int64 `json:"ack_reads"`
 
-	Retries      int64
-	Timeouts     int64
-	Skips        int64
-	Quarantines  int64
-	BreakerTrips int64
+	Retries      int64 `json:"retries"`
+	Timeouts     int64 `json:"timeouts"`
+	Skips        int64 `json:"skips"`
+	Quarantines  int64 `json:"quarantines"`
+	BreakerTrips int64 `json:"breaker_trips"`
 
 	// ResumedPrograms counts programs restored from campaign journals
 	// (included in Programs); Checkpoints counts durable checkpoints written.
-	ResumedPrograms int64
-	Checkpoints     int64
+	ResumedPrograms int64 `json:"resumed_programs,omitempty"`
+	Checkpoints     int64 `json:"checkpoints,omitempty"`
+
+	Stages []StageCount `json:"stages,omitempty"` // first-seen (pipeline) order
 
 	// Platforms holds per-platform verdict aggregates of matrix campaigns,
 	// sorted by platform name; empty for single-platform campaigns.
-	Platforms []PlatformCount
-
-	Stages []StageCount // first-seen (pipeline) order
+	Platforms []PlatformCount `json:"platforms,omitempty"`
 
 	// Pipeline holds the staged engine's live per-stage busy/wait/stall
 	// metrics when a campaign registered a source via SetPipelineSource;
 	// nil for idle tracers. Unlike Stages (span
 	// durations), Pipeline carries starvation and backpressure.
-	Pipeline []PipelineStage
+	Pipeline []PipelineStage `json:"pipeline,omitempty"`
 }
 
 // Snapshot copies the live aggregates. Safe to call while the campaign runs.
@@ -593,15 +627,19 @@ func (t *Tracer) Snapshot() Counters {
 	if t == nil {
 		return Counters{}
 	}
+	q := t.queryHist.Summary("")
 	c := Counters{
-		Elapsed:         time.Since(t.start),
+		ElapsedUS:       time.Since(t.start).Microseconds(),
 		TotalPrograms:   t.totalPrograms.Load(),
 		Programs:        t.programs.Load(),
 		Experiments:     t.experiments.Load(),
 		Counterexamples: t.counterexamples.Load(),
 		Inconclusive:    t.inconclusive.Load(),
-		Queries:         t.queries.Load(),
-		QueryTime:       t.queryHist.Sum(),
+		Queries:         q.Count,
+		QueryTimeUS:     q.BusyUS,
+		QueryP50US:      q.P50US,
+		QueryP95US:      q.P95US,
+		QueryP99US:      q.P99US,
 		Conflicts:       t.conflicts.Load(),
 		Decisions:       t.decisions.Load(),
 		Propagations:    t.propagations.Load(),
@@ -622,16 +660,32 @@ func (t *Tracer) Snapshot() Counters {
 	}
 	t.platMu.Unlock()
 	sort.Slice(c.Platforms, func(i, j int) bool { return c.Platforms[i].Name < c.Platforms[j].Name })
-	c.QueryP50, c.QueryP95, c.QueryP99 = t.queryHist.Quantiles()
-	t.stagesMu.RLock()
-	order := append([]*stageAgg(nil), t.order...)
-	t.stagesMu.RUnlock()
-	for _, a := range order {
-		sc := StageCount{Name: a.name, Count: a.hist.Count(), Busy: a.hist.Sum()}
-		sc.P50, sc.P95, sc.P99 = a.hist.Quantiles()
-		c.Stages = append(c.Stages, sc)
+	for _, a := range t.stageOrder() {
+		c.Stages = append(c.Stages, a.hist.Summary(a.name))
 	}
 	c.Pipeline = t.pipelineSnapshot()
+	return c
+}
+
+// stageOrder copies the stage aggregates in first-seen order.
+func (t *Tracer) stageOrder() []*stageAgg {
+	t.stagesMu.RLock()
+	defer t.stagesMu.RUnlock()
+	return append([]*stageAgg(nil), t.order...)
+}
+
+// Replay runs loaded trace records through the live aggregator and returns
+// the counters a Tracer that had emitted them would hold. Two fields have no
+// trace record and differ from the live Snapshot: ElapsedUS is zero, and
+// Programs counts only resumed programs (completions are not traced). A
+// replay has no pipeline source, so Pipeline is nil.
+func Replay(recs []Record) Counters {
+	t := New(nil)
+	for i := range recs {
+		t.observe(&recs[i])
+	}
+	c := t.Snapshot()
+	c.ElapsedUS = 0
 	return c
 }
 
@@ -669,12 +723,12 @@ func (t *Tracer) Close() error {
 	return errors.Join(t.werr, ferr, cerr)
 }
 
-// ReadTrace decodes trace records from a reader. Mirroring logdb.Read, a
-// torn final line (a crash mid-append) is rejected with an error naming the
-// line rather than silently dropped or misparsed; records from a newer
-// schema version are rejected too.
-func ReadTrace(r io.Reader) ([]Record, error) {
-	var out []Record
+// readTrace is the one trace parser. A malformed line is held back as torn
+// until the input ends: if it was the last non-empty line it is a crash
+// mid-append and reported through torn; any later non-empty line makes it
+// corruption and a hard error. Kindless and newer-schema records are always
+// hard errors.
+func readTrace(r io.Reader) (recs []Record, torn, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -683,24 +737,65 @@ func ReadTrace(r io.Reader) ([]Record, error) {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
+		if torn != nil {
+			return nil, nil, torn
+		}
 		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("telemetry: line %d: %w", line, err)
+		if uerr := json.Unmarshal(sc.Bytes(), &rec); uerr != nil {
+			torn = fmt.Errorf("telemetry: line %d: %w", line, uerr)
+			continue
 		}
 		if rec.V > SchemaVersion {
-			return nil, fmt.Errorf("telemetry: line %d: trace schema v%d newer than supported v%d",
+			return nil, nil, fmt.Errorf("telemetry: line %d: trace schema v%d newer than supported v%d",
 				line, rec.V, SchemaVersion)
 		}
 		if rec.Kind == "" {
-			return nil, fmt.Errorf("telemetry: line %d: record without kind", line)
+			return nil, nil, fmt.Errorf("telemetry: line %d: record without kind", line)
 		}
-		out = append(out, rec)
+		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
+		return nil, nil, fmt.Errorf("telemetry: %w", err)
 	}
-	return out, nil
+	return recs, torn, nil
 }
+
+func loadTrace(path string) (recs []Record, torn, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("telemetry: %w", err)
+	}
+	defer f.Close()
+	return readTrace(f)
+}
+
+// strict refuses a torn final line with the error naming it.
+func strict(recs []Record, torn, err error) ([]Record, error) {
+	if err == nil {
+		err = torn
+	}
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
+// tolerant drops a torn final line and counts it.
+func tolerant(recs []Record, torn, err error) ([]Record, int, error) {
+	if err != nil {
+		return nil, 0, err
+	}
+	if torn != nil {
+		return recs, 1, nil
+	}
+	return recs, 0, nil
+}
+
+// ReadTrace decodes trace records from a reader. Mirroring logdb.Read, a
+// torn final line (a crash mid-append) is rejected with an error naming the
+// line rather than silently dropped or misparsed; records from a newer
+// schema version are rejected too.
+func ReadTrace(r io.Reader) ([]Record, error) { return strict(readTrace(r)) }
 
 // ReadTraceTolerant decodes trace records like ReadTrace but tolerates a
 // torn final line (a crash or kill mid-append): instead of failing, the torn
@@ -709,65 +804,14 @@ func ReadTrace(r io.Reader) ([]Record, error) {
 // records, and newer-schema records remain hard errors — those mean
 // corruption, not truncation.
 func ReadTraceTolerant(r io.Reader) (recs []Record, torn int, err error) {
-	var lines [][]byte
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		lines = append(lines, append([]byte(nil), sc.Bytes()...))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("telemetry: %w", err)
-	}
-	last := -1 // index of the last non-empty line
-	for i := len(lines) - 1; i >= 0; i-- {
-		if len(lines[i]) > 0 {
-			last = i
-			break
-		}
-	}
-	for i, b := range lines {
-		if len(b) == 0 {
-			continue
-		}
-		var rec Record
-		if uerr := json.Unmarshal(b, &rec); uerr != nil {
-			if i == last {
-				torn++
-				break
-			}
-			return nil, 0, fmt.Errorf("telemetry: line %d: %w", i+1, uerr)
-		}
-		if rec.V > SchemaVersion {
-			return nil, 0, fmt.Errorf("telemetry: line %d: trace schema v%d newer than supported v%d",
-				i+1, rec.V, SchemaVersion)
-		}
-		if rec.Kind == "" {
-			return nil, 0, fmt.Errorf("telemetry: line %d: record without kind", i+1)
-		}
-		recs = append(recs, rec)
-	}
-	return recs, torn, nil
+	return tolerant(readTrace(r))
 }
+
+// LoadTrace reads all records from a trace file via ReadTrace.
+func LoadTrace(path string) ([]Record, error) { return strict(loadTrace(path)) }
 
 // LoadTraceTolerant reads a trace file via ReadTraceTolerant.
-func LoadTraceTolerant(path string) ([]Record, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("telemetry: %w", err)
-	}
-	defer f.Close()
-	return ReadTraceTolerant(f)
-}
-
-// LoadTrace reads all records from a trace file.
-func LoadTrace(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
-	}
-	defer f.Close()
-	return ReadTrace(f)
-}
+func LoadTraceTolerant(path string) ([]Record, int, error) { return tolerant(loadTrace(path)) }
 
 // SortRecords orders records by timestamp, then by kind for equal stamps —
 // a stable order for golden tests over concurrent campaigns.

@@ -236,15 +236,15 @@ func TestTracerConcurrent(t *testing.T) {
 
 func TestRenderProgressWithStages(t *testing.T) {
 	prev := Counters{Queries: 100, Stages: []StageCount{
-		{Name: "testgen", Busy: 1 * time.Second},
-		{Name: "execute", Busy: 1 * time.Second},
+		{Name: "testgen", BusyUS: 1e6},
+		{Name: "execute", BusyUS: 1e6},
 	}}
 	cur := Counters{
 		TotalPrograms: 24, Programs: 5, Experiments: 180, Counterexamples: 12,
 		Queries: 300,
 		Stages: []StageCount{
-			{Name: "testgen", Busy: 4 * time.Second},
-			{Name: "execute", Busy: 2 * time.Second},
+			{Name: "testgen", BusyUS: 4e6},
+			{Name: "execute", BusyUS: 2e6},
 		},
 	}
 	line := RenderProgress(cur, prev, 10*time.Second)

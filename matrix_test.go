@@ -239,6 +239,7 @@ func TestMatrixLogAndTelemetry(t *testing.T) {
 			}
 		}
 	}
+	assertReplayMatchesLive(t, trecs, snap)
 }
 
 // TestMatrixSinglePlatformLogUnchanged: a single-platform campaign's log

@@ -165,9 +165,9 @@ func runStaged(ctx context.Context, e *Experiment, res *Result, start time.Time)
 				Workers: s.Workers,
 				In:      s.In,
 				Out:     s.Out,
-				Busy:    s.Busy,
-				Wait:    s.Wait,
-				Stall:   s.Stall,
+				BusyUS:  s.Busy.Microseconds(),
+				WaitUS:  s.Wait.Microseconds(),
+				StallUS: s.Stall.Microseconds(),
 			}
 		}
 		return out

@@ -2,6 +2,7 @@ package scamv
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"scamv/internal/gen"
@@ -66,6 +67,23 @@ func runTraced(t *testing.T, parallel int) (*Result, []telemetry.Record, telemet
 	return res, recs, tr.Snapshot()
 }
 
+// assertReplayMatchesLive requires telemetry.Replay of a campaign's trace to
+// equal the tracer's live snapshot on every field a trace record feeds:
+// stages, the query distribution and effort counters, verdicts, resilience
+// and crash-safety counts, platforms, and TotalPrograms. Programs and
+// ElapsedUS are excluded because program completions and the wall clock have
+// no trace record; Pipeline is the staged engine's live source, not an
+// aggregate of records.
+func assertReplayMatchesLive(t *testing.T, recs []telemetry.Record, live telemetry.Counters) {
+	t.Helper()
+	replay := telemetry.Replay(recs)
+	replay.Programs = 0
+	live.ElapsedUS, live.Programs, live.Pipeline = 0, 0, nil
+	if !reflect.DeepEqual(replay, live) {
+		t.Errorf("replayed trace diverges from the live counters:\nreplay %+v\nlive   %+v", replay, live)
+	}
+}
+
 // TestTraceMatchesResult checks that the JSONL trace of a staged campaign
 // agrees record-for-record with the campaign Result: one span per program
 // per stage, one query event per solver query, one verdict per experiment.
@@ -116,6 +134,7 @@ func TestTraceMatchesResult(t *testing.T) {
 	if snap.TotalPrograms != 3 {
 		t.Errorf("snapshot total programs = %d, want 3", snap.TotalPrograms)
 	}
+	assertReplayMatchesLive(t, recs, snap)
 }
 
 // TestTraceEngineEquivalence checks that the engine emits the same trace
