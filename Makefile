@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-telemetry bench-matrix bench-resume bench log-identity
+.PHONY: ci fmt build vet test race chaos-smoke fuzz-smoke matrix-smoke obs-smoke crash-smoke bench-micro bench-harness bench log-identity
 
 ci: fmt build vet race matrix-smoke obs-smoke crash-smoke bench-micro bench
 
@@ -81,32 +81,17 @@ crash-smoke:
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/...
 
-# Matrix-campaign benchmark: runs the K=3 platform matrix against three
-# sequential single-platform campaigns and writes BENCH_matrix.json (wall
-# clocks, ratio, per-platform verdict rows). Fails if any per-platform count
-# diverges or the batched matrix is not under 0.5x of the sequential wall
-# clock (generation runs once instead of K times).
-bench-matrix:
-	BENCH_MATRIX=1 $(GO) test -run TestWriteBenchMatrix -count=1 -v .
-
-# Telemetry-overhead benchmark: runs the MLine campaign with a nil tracer,
-# a full JSONL tracer, and the tracer plus the whole observability plane
-# (debug server, 50ms /metrics scraper, 50ms SSE dashboard client, armed
-# flight recorder), interleaved, and writes BENCH_telemetry.json (wall
-# clocks, trace/nil and observatory/trace ratios, trace size). Target is
-# ≤1.05x per step; fails past the 1.25x flake ceiling, if tracing or
-# observation changes any campaign count, if the trace is empty, or if
-# /metrics was never scraped.
-bench-telemetry:
-	BENCH_TELEMETRY=1 $(GO) test -run TestWriteBenchTelemetry -count=1 -v .
-
-# Journal-overhead benchmark: runs the MLine campaign with and without the
-# write-ahead journal (fsync per program completion, periodic atomic
-# checkpoints) and writes BENCH_resume.json. Target is ≤1.05x over plain;
-# fails past the 1.25x flake ceiling or if journaling changes any campaign
-# count.
-bench-resume:
-	BENCH_RESUME=1 $(GO) test -run TestWriteBenchResume -count=1 -v .
+# The bench harness: the MLine campaign (8 programs x 40 tests, Parallel 4)
+# as six rows (nil, trace, observatory, journaled, a53/a72/m0 matrix, the
+# three as sequential campaigns), 7 rounds in rotated order, written to
+# BENCH.json with each row's median, quartiles and min and each A/B's
+# per-round ratios against the 1.05x target. Fails if tracing, observing or
+# journaling changes a count, a matrix row differs from its single-platform
+# campaign, the trace is empty, /metrics is never scraped or no checkpoint
+# is written, a median overhead ratio reaches 1.25x, or the matrix's median
+# ratio to the sequential campaigns reaches 0.5x.
+bench-harness:
+	BENCH_HARNESS=1 $(GO) test -run TestWriteBench -count=1 -v .
 
 # Full paper-table benchmark suite (one iteration each), part of make ci so
 # that the ablation rows' assertions (e.g. no counterexamples on a core

@@ -34,6 +34,7 @@ type golden struct {
 	QuarantinedPrograms int
 	Skips               []scamv.Skip
 	Retries             int
+	Timeouts            int
 	BreakerTrips        uint64
 }
 
@@ -51,6 +52,7 @@ func goldenOf(r *scamv.Result) golden {
 		QuarantinedPrograms: r.QuarantinedPrograms,
 		Skips:               r.Skips,
 		Retries:             r.Retries,
+		Timeouts:            r.Timeouts,
 		BreakerTrips:        r.BreakerTrips,
 	}
 }
@@ -73,59 +75,78 @@ func chaosExperiment(parallel int) scamv.Experiment {
 	return u
 }
 
-// TestChaosGoldenDeterministic pins the resilience contract: the same seed
-// and chaos profile produce the same degraded Result — across repeat runs
-// and across Parallel 1 and 4 — and the heavy profile actually degrades
-// something, so the equality is not vacuous.
-func TestChaosGoldenDeterministic(t *testing.T) {
-	par1, err := scamv.Run(chaosExperiment(4))
-	if err != nil {
-		t.Fatalf("chaos campaign failed under Degrade: %v", err)
-	}
-	par2, err := scamv.Run(chaosExperiment(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := scamv.Run(chaosExperiment(1))
-	if err != nil {
-		t.Fatalf("sequential chaos campaign failed under Degrade: %v", err)
-	}
-
-	g1, g2, gs := goldenOf(par1), goldenOf(par2), goldenOf(seq)
-	if !reflect.DeepEqual(g1, g2) {
-		t.Errorf("repeat run diverged:\nrun1: %+v\nrun2: %+v", g1, g2)
-	}
-	if !reflect.DeepEqual(g1, gs) {
-		t.Errorf("parallel 4 and 1 diverged:\nparallel 4: %+v\nparallel 1: %+v", g1, gs)
-	}
-	if g1.SkippedTests == 0 && g1.Retries == 0 {
-		t.Error("heavy chaos profile neither skipped nor retried anything: the golden equality is vacuous")
-	}
-	// Every skip carries a reason and a valid program index.
-	for _, s := range par1.Skips {
-		if s.Reason == "" || s.Prog < 0 || s.Prog >= g1.Programs {
-			t.Errorf("malformed skip record: %+v", s)
-		}
-	}
-}
-
-// TestChaosTraceReplaysLive traces one degraded campaign and requires the
-// trace's replay to reproduce the live counters, with the retry, timeout,
-// skip and quarantine counters all exercised: the heavy profile's hangs
-// block until a deadline far above a real execution's cost, so each one is
-// a timeout and nothing else is, and one failed test quarantines a program.
-func TestChaosTraceReplaysLive(t *testing.T) {
-	var buf bytes.Buffer
-	tr := telemetry.New(&buf)
-	e := chaosExperiment(4)
+// chaosTimeoutExperiment is chaosExperiment with the heavy profile's hangs
+// unbounded under a 20ms ExecTimeout, far above a real execution's cost, so
+// each hang is a timeout and nothing else is, and with QuarantineAfter 1, so
+// one failed test quarantines a program.
+func chaosTimeoutExperiment(parallel int) scamv.Experiment {
+	e := chaosExperiment(parallel)
 	prof, err := faultinject.Named("heavy")
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	prof.HangFor = 0
 	e.Platform = faultinject.New(nil, prof, 2021)
 	e.ExecTimeout = 20 * time.Millisecond
 	e.QuarantineAfter = 1
+	return e
+}
+
+// TestChaosGoldenDeterministic pins the resilience contract: the same seed
+// and chaos profile produce the same degraded Result — across repeat runs
+// and across Parallel 1 and 4 — and each configuration actually degrades
+// something, so the equality is not vacuous: the bounded hangs skip or
+// retry, and the unbounded ones time out and quarantine.
+func TestChaosGoldenDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		exp      func(parallel int) scamv.Experiment
+		degraded func(golden) bool
+	}{
+		{"bounded-hangs", chaosExperiment, func(g golden) bool { return g.SkippedTests > 0 || g.Retries > 0 }},
+		{"timeouts", chaosTimeoutExperiment, func(g golden) bool { return g.Timeouts > 0 && g.QuarantinedPrograms > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			par1, err := scamv.Run(tc.exp(4))
+			if err != nil {
+				t.Fatalf("chaos campaign failed under Degrade: %v", err)
+			}
+			par2, err := scamv.Run(tc.exp(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := scamv.Run(tc.exp(1))
+			if err != nil {
+				t.Fatalf("sequential chaos campaign failed under Degrade: %v", err)
+			}
+
+			g1, g2, gs := goldenOf(par1), goldenOf(par2), goldenOf(seq)
+			if !reflect.DeepEqual(g1, g2) {
+				t.Errorf("repeat run diverged:\nrun1: %+v\nrun2: %+v", g1, g2)
+			}
+			if !reflect.DeepEqual(g1, gs) {
+				t.Errorf("parallel 4 and 1 diverged:\nparallel 4: %+v\nparallel 1: %+v", g1, gs)
+			}
+			if !tc.degraded(g1) {
+				t.Errorf("chaos degraded too little for the golden equality to mean anything: %+v", g1)
+			}
+			// Every skip carries a reason and a valid program index.
+			for _, s := range par1.Skips {
+				if s.Reason == "" || s.Prog < 0 || s.Prog >= g1.Programs {
+					t.Errorf("malformed skip record: %+v", s)
+				}
+			}
+		})
+	}
+}
+
+// TestChaosTraceReplaysLive traces one degraded campaign and requires the
+// trace's replay to reproduce the live counters, with the retry, timeout,
+// skip and quarantine counters all exercised.
+func TestChaosTraceReplaysLive(t *testing.T) {
+	var buf bytes.Buffer
+	tr := telemetry.New(&buf)
+	e := chaosTimeoutExperiment(4)
 	e.Trace = tr
 	if _, err := scamv.Run(e); err != nil {
 		t.Fatal(err)
