@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"scamv/internal/gen"
 	"scamv/internal/logdb"
 	"scamv/internal/telemetry"
 )
@@ -80,6 +81,77 @@ func TestMatrixPrimaryRowMatchesSinglePlatform(t *testing.T) {
 	}
 	if len(rs.Matrix) != 0 {
 		t.Error("single-platform campaign must not report matrix rows")
+	}
+}
+
+// TestMatrixOnePlatformNoisyMatchesPlain: a one-platform matrix whose spec
+// carries the campaign's own core — here the M_ct campaigns' noisy one
+// (NoiseProb 0.001) — is the plain campaign under a platform name. Counts,
+// the first counterexample and the -log records (the platform field aside)
+// are the same. The unguided campaign must see noise (inconclusive > 0),
+// or the comparison would not cover the measurement-noise stream.
+func TestMatrixOnePlatformNoisyMatchesPlain(t *testing.T) {
+	unguided, refined := MCtExperiments(gen.TemplateA{}, 20, 10, 1)
+	for _, plain := range []Experiment{unguided, refined} {
+		t.Run(plain.Name, func(t *testing.T) {
+			run := func(e Experiment) (*Result, []logdb.Record) {
+				var buf bytes.Buffer
+				e.Log = logdb.NewWriter(&buf)
+				r, err := Run(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Log.Close(); err != nil {
+					t.Fatal(err)
+				}
+				recs, err := logdb.Read(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r, recs
+			}
+			rs, plainRecs := run(plain)
+			matrix := plain
+			matrix.Platforms = []PlatformSpec{{Name: "a53", Micro: plain.Micro}}
+			rm, matrixRecs := run(matrix)
+
+			if rs.Programs != rm.Programs || rs.ProgramsWithCounter != rm.ProgramsWithCounter ||
+				rs.Experiments != rm.Experiments || rs.Counterexamples != rm.Counterexamples ||
+				rs.Inconclusive != rm.Inconclusive || rs.SkippedTests != rm.SkippedTests ||
+				rs.Queries != rm.Queries || rs.Found != rm.Found ||
+				rs.FirstCEProgram != rm.FirstCEProgram || rs.FirstCETest != rm.FirstCETest {
+				t.Errorf("one-platform matrix diverges from the plain campaign:\nplain  %+v\nmatrix %+v", rs, rm)
+			}
+			if len(rm.Matrix) != 1 {
+				t.Fatalf("expected 1 matrix row, got %d", len(rm.Matrix))
+			}
+			row := rm.Matrix[0]
+			if row.Experiments != rs.Experiments || row.Counterexamples != rs.Counterexamples ||
+				row.Inconclusive != rs.Inconclusive || row.Found != rs.Found ||
+				row.FirstCEProgram != rs.FirstCEProgram || row.FirstCETest != rs.FirstCETest {
+				t.Errorf("matrix row diverges from the plain campaign:\nplain %+v\nrow   %+v", rs, row)
+			}
+			if plain.Name == unguided.Name && rs.Inconclusive == 0 {
+				t.Error("unguided campaign saw no noise: the check does not cover the noise stream")
+			}
+
+			if len(plainRecs) != len(matrixRecs) {
+				t.Fatalf("plain campaign logged %d records, matrix %d", len(plainRecs), len(matrixRecs))
+			}
+			for i := range plainRecs {
+				p, m := plainRecs[i], matrixRecs[i]
+				if p.Platform != "" || m.Platform != "a53" {
+					t.Fatalf("record %d: platform plain %q, matrix %q", i, p.Platform, m.Platform)
+				}
+				p.GenMicros, p.ExeMicros = 0, 0
+				m.GenMicros, m.ExeMicros, m.Platform = 0, 0, ""
+				pj, _ := json.Marshal(p)
+				mj, _ := json.Marshal(m)
+				if !bytes.Equal(pj, mj) {
+					t.Fatalf("record %d differs:\nplain  %s\nmatrix %s", i, pj, mj)
+				}
+			}
+		})
 	}
 }
 
