@@ -6,17 +6,15 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"scamv/internal/journal"
 	"scamv/internal/obs"
 )
 
 // This file is the campaign side of crash safety: the configuration
-// fingerprint that guards resume, the converters between the in-memory
-// programResult and the durable journal.ProgramRecord, and the signal
-// wiring for graceful shutdown. The durability mechanics live in
-// internal/journal; the engine hooks in at Result.mergeProgram.
+// fingerprint that guards resume and the signal wiring for graceful
+// shutdown. The durability mechanics live in internal/journal, which stores
+// each program's programResult as is; the engine hooks in at
+// Result.mergeProgram.
 
 // fingerprintConfig is the canonical serialization of every experiment knob
 // that influences campaign counts. Resume refuses a journal whose fingerprint
@@ -87,85 +85,6 @@ func journalFingerprint(e *Experiment) string {
 		panic("scamv: fingerprint marshal: " + err.Error())
 	}
 	return string(b)
-}
-
-// toJournalRecord converts one committed program result into its durable
-// form. Durations are journaled at microsecond granularity — they are
-// wall-clock fields, outside the resume-equivalence contract.
-func toJournalRecord(p int, out *programResult) journal.ProgramRecord {
-	rec := journal.ProgramRecord{
-		Prog:            p,
-		Experiments:     out.experiments,
-		Counterexamples: out.counterexamples,
-		Inconclusive:    out.inconclusive,
-		EncodeFallbacks: out.encodeFallbacks,
-		Queries:         out.queries,
-		GenUS:           out.genTime.Microseconds(),
-		ExeUS:           out.exeTime.Microseconds(),
-		Found:           out.found,
-		FirstCETest:     out.firstCETest,
-		TTCUS:           out.ttcWall.Microseconds(),
-		SkippedTests:    out.skippedTests,
-		Quarantined:     out.quarantined,
-		Retries:         out.retries,
-		Timeouts:        out.timeouts,
-		Logs:            out.records,
-	}
-	for _, s := range out.skips {
-		rec.Skips = append(rec.Skips, journal.Skip(s))
-	}
-	for i := range out.platforms {
-		pt := &out.platforms[i]
-		rec.Platforms = append(rec.Platforms, journal.PlatformTally{
-			Experiments:     pt.experiments,
-			Counterexamples: pt.counterexamples,
-			Inconclusive:    pt.inconclusive,
-			Skipped:         pt.skipped,
-			ExeUS:           pt.exeTime.Microseconds(),
-			Found:           pt.found,
-			FirstCETest:     pt.firstCETest,
-		})
-	}
-	return rec
-}
-
-// fromJournalRecord reconstructs the in-memory result of a restored program
-// so the resume path can feed it through the same mergeProgram step the
-// engines use — one merge implementation, uninterrupted or resumed.
-func fromJournalRecord(jr journal.ProgramRecord) *programResult {
-	out := &programResult{
-		experiments:     jr.Experiments,
-		counterexamples: jr.Counterexamples,
-		inconclusive:    jr.Inconclusive,
-		encodeFallbacks: jr.EncodeFallbacks,
-		queries:         jr.Queries,
-		genTime:         time.Duration(jr.GenUS) * time.Microsecond,
-		exeTime:         time.Duration(jr.ExeUS) * time.Microsecond,
-		found:           jr.Found,
-		firstCETest:     jr.FirstCETest,
-		ttcWall:         time.Duration(jr.TTCUS) * time.Microsecond,
-		skippedTests:    jr.SkippedTests,
-		quarantined:     jr.Quarantined,
-		retries:         jr.Retries,
-		timeouts:        jr.Timeouts,
-		records:         jr.Logs,
-	}
-	for _, s := range jr.Skips {
-		out.skips = append(out.skips, Skip(s))
-	}
-	for i := range jr.Platforms {
-		pt := &jr.Platforms[i]
-		out.platforms = append(out.platforms, platformTally{
-			experiments:     pt.Experiments,
-			counterexamples: pt.Counterexamples,
-			inconclusive:    pt.Inconclusive,
-			skipped:         pt.Skipped,
-			exeTime:         time.Duration(pt.ExeUS) * time.Microsecond,
-			found:           pt.Found,
-			firstCETest:     pt.FirstCETest,
-		})
-	}
-	return out
 }
 
 // ArmShutdown wires SIGINT/SIGTERM to the graceful-shutdown protocol and

@@ -40,8 +40,6 @@ import (
 	"path/filepath"
 	"sync"
 	"syscall"
-
-	"scamv/internal/logdb"
 )
 
 // FS is the write-side filesystem seam of a campaign journal. Production
@@ -112,8 +110,10 @@ func (OSFS) SyncDir(dir string) error {
 }
 
 // Version is the journal format version stamped on the header and the
-// checkpoint envelope.
-const Version = 1
+// checkpoint envelope. Resume reads only this version: v1 records carried a
+// flat per-field program tally, v2 records carry the campaign's own program
+// result (ProgramRecord.Result).
+const Version = 2
 
 const (
 	journalFile  = "journal.jsonl"
@@ -122,58 +122,13 @@ const (
 	ckptTmpFile  = "checkpoint.tmp"
 )
 
-// Skip mirrors scamv.Skip: one abandoned test case (or quarantined
-// remainder) under FailPolicy Degrade, preserved across resume so the final
-// Result's skip list equals an uninterrupted run's.
-type Skip struct {
-	Prog   int    `json:"prog"`
-	Test   int    `json:"test"`
-	Reason string `json:"reason"`
-}
-
-// PlatformTally is one program's contribution to one matrix-campaign
-// platform row.
-type PlatformTally struct {
-	Experiments     int   `json:"experiments,omitempty"`
-	Counterexamples int   `json:"counterexamples,omitempty"`
-	Inconclusive    int   `json:"inconclusive,omitempty"`
-	Skipped         int   `json:"skipped,omitempty"`
-	ExeUS           int64 `json:"exe_us,omitempty"`
-	Found           bool  `json:"found,omitempty"`
-	FirstCETest     int   `json:"first_ce_test"`
-}
-
-// ProgramRecord is one journaled program completion: everything the merge
-// step folds into the campaign Result, in durable form. Wall-clock fields
-// are carried so resumed aggregate times reflect total work done, but they
-// are exactly the fields the resume-equivalence contract excludes.
+// ProgramRecord is one journaled program completion. Result is the
+// campaign's own per-program result, encoded as JSON: everything its merge
+// step folds into the campaign Result. The journal does not look inside it.
 type ProgramRecord struct {
-	Kind string `json:"kind"` // "program"
-	Prog int    `json:"prog"`
-
-	Experiments     int   `json:"experiments,omitempty"`
-	Counterexamples int   `json:"counterexamples,omitempty"`
-	Inconclusive    int   `json:"inconclusive,omitempty"`
-	EncodeFallbacks int   `json:"encode_fallbacks,omitempty"`
-	Queries         int   `json:"queries,omitempty"`
-	GenUS           int64 `json:"gen_us,omitempty"`
-	ExeUS           int64 `json:"exe_us,omitempty"`
-	Found           bool  `json:"found,omitempty"`
-	FirstCETest     int   `json:"first_ce_test"`
-	TTCUS           int64 `json:"ttc_us,omitempty"`
-
-	SkippedTests int    `json:"skipped_tests,omitempty"`
-	Quarantined  bool   `json:"quarantined,omitempty"`
-	Skips        []Skip `json:"skips,omitempty"`
-	Retries      int    `json:"retries,omitempty"`
-	Timeouts     int    `json:"timeouts,omitempty"`
-
-	Platforms []PlatformTally `json:"platforms,omitempty"`
-
-	// Logs are the program's experiment-log records, re-emitted into
-	// Experiment.Log on resume so the resumed log file equals an
-	// uninterrupted run's.
-	Logs []logdb.Record `json:"logs,omitempty"`
+	Kind   string          `json:"kind"` // "program"
+	Prog   int             `json:"prog"`
+	Result json.RawMessage `json:"result"`
 }
 
 // header is the journal's first line: the campaign identity and the
@@ -301,7 +256,10 @@ func (c *Campaign) recover() error {
 		return jErr
 	}
 	hdr := jHdr
-	ck, _ := loadCheckpoint(c.dir)
+	ck, err := loadCheckpoint(c.dir)
+	if err != nil {
+		return err
+	}
 	if hdr == nil && ck != nil {
 		hdr = &header{V: ck.V, Kind: "header", Campaign: ck.Campaign, Fingerprint: ck.Fingerprint}
 	}
@@ -415,8 +373,8 @@ func loadJournal(path string) (hdr *header, recs []ProgramRecord, validLen int64
 			if uerr := json.Unmarshal(line, &h); uerr != nil || h.Kind != "header" {
 				return nil, nil, 0, fmt.Errorf("journal: %s: first line is not a journal header", path)
 			}
-			if h.V > Version {
-				return nil, nil, 0, fmt.Errorf("journal: %s: format v%d newer than supported v%d", path, h.V, Version)
+			if h.V != Version {
+				return nil, nil, 0, fmt.Errorf("journal: %s: format v%d, this build reads only v%d (rerun the campaign from scratch)", path, h.V, Version)
 			}
 			hdr = &h
 		} else {
@@ -433,27 +391,25 @@ func loadJournal(path string) (hdr *header, recs []ProgramRecord, validLen int64
 
 // loadCheckpoint returns the newest intact checkpoint: checkpoint.json if it
 // parses and carries the completeness marker, else checkpoint.prev.json,
-// else nil. fellBack reports that the primary existed but was rejected —
-// the torn-checkpoint detection the faultinject teeth test exercises.
-func loadCheckpoint(dir string) (ck *checkpointEnvelope, fellBack bool) {
-	load := func(name string) *checkpointEnvelope {
-		data, err := os.ReadFile(filepath.Join(dir, name))
+// else nil. An intact checkpoint of another format version is an error, not
+// a torn one: falling back past it would resume from an older snapshot.
+func loadCheckpoint(dir string) (*checkpointEnvelope, error) {
+	for _, name := range []string{ckptFile, ckptPrevFile} {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil
+			continue
 		}
 		var env checkpointEnvelope
-		if err := json.Unmarshal(data, &env); err != nil || !env.Complete || env.V > Version {
-			return nil
+		if err := json.Unmarshal(data, &env); err != nil || !env.Complete {
+			continue
 		}
-		return &env
+		if env.V != Version {
+			return nil, fmt.Errorf("journal: %s: format v%d, this build reads only v%d (rerun the campaign from scratch)", path, env.V, Version)
+		}
+		return &env, nil
 	}
-	if ck = load(ckptFile); ck != nil {
-		return ck, false
-	}
-	if _, err := os.Stat(filepath.Join(dir, ckptFile)); err == nil {
-		fellBack = true
-	}
-	return load(ckptPrevFile), fellBack
+	return nil, nil
 }
 
 // Begin stamps (fresh) or validates (resume) the campaign fingerprint — a
@@ -487,12 +443,17 @@ func (c *Campaign) Begin(campaign, fingerprint string) error {
 	return nil
 }
 
-// Restored returns the program records recovered by a Resume open, in
-// program order — always the contiguous prefix [0, len) of the campaign.
-func (c *Campaign) Restored() []ProgramRecord {
+// Restored returns the program results recovered by a Resume open, as the
+// JSON Append was given them, in program order: result i is program i's, and
+// together they are the contiguous prefix [0, len) of the campaign.
+func (c *Campaign) Restored() []json.RawMessage {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.restored
+	out := make([]json.RawMessage, len(c.restored))
+	for i := range c.restored {
+		out[i] = c.restored[i].Result
+	}
+	return out
 }
 
 // Dir returns the campaign's journal directory.
@@ -522,13 +483,13 @@ func (c *Campaign) writeDurable(b []byte) error {
 	return nil
 }
 
-// Append journals one completed program. Records must arrive in ascending
-// program order starting at the resume point — the engines' in-order merge
-// guarantees it, and Append enforces it, because a gap would break the
-// prefix property resume depends on. When it returns nil the record is
-// fsynced. checkpointed reports that this append also wrote an automatic
-// checkpoint (every Options.Every appends).
-func (c *Campaign) Append(rec ProgramRecord) (checkpointed bool, err error) {
+// Append journals program prog's result, encoded as JSON. Programs must
+// arrive in ascending order starting at the resume point — the engines'
+// in-order merge guarantees it, and Append enforces it, because a gap would
+// break the prefix property resume depends on. When it returns nil the
+// record is fsynced. checkpointed reports that this append also wrote an
+// automatic checkpoint (every Options.Every appends).
+func (c *Campaign) Append(prog int, result any) (checkpointed bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.begun {
@@ -537,10 +498,14 @@ func (c *Campaign) Append(rec ProgramRecord) (checkpointed bool, err error) {
 	if c.werr != nil {
 		return false, c.werr
 	}
-	if rec.Prog != c.next {
-		return false, fmt.Errorf("journal: out-of-order append: got program %d, want %d", rec.Prog, c.next)
+	if prog != c.next {
+		return false, fmt.Errorf("journal: out-of-order append: got program %d, want %d", prog, c.next)
 	}
-	rec.Kind = "program"
+	raw, err := json.Marshal(result)
+	if err != nil {
+		return false, fmt.Errorf("journal: %w", err)
+	}
+	rec := ProgramRecord{Kind: "program", Prog: prog, Result: raw}
 	b, err := json.Marshal(&rec)
 	if err != nil {
 		return false, fmt.Errorf("journal: %w", err)
@@ -558,13 +523,6 @@ func (c *Campaign) Append(rec ProgramRecord) (checkpointed bool, err error) {
 		return true, nil
 	}
 	return false, nil
-}
-
-// Next returns the next expected program index (= programs journaled so far).
-func (c *Campaign) Next() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.next
 }
 
 // Checkpoint writes an atomic snapshot of everything journaled so far:
@@ -616,8 +574,7 @@ func (c *Campaign) checkpointLocked() error {
 }
 
 // atomicWrite writes name under the campaign directory via the injected FS
-// with the temp + fsync + rename + dir-fsync protocol (the FS-seam twin of
-// logdb.AtomicWriteFile).
+// with the temp + fsync + rename + dir-fsync protocol.
 func (c *Campaign) atomicWrite(name string, data []byte) error {
 	tmpPath := filepath.Join(c.dir, ckptTmpFile)
 	tmp, err := c.fs.Create(tmpPath)

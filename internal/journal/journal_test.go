@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,13 +10,18 @@ import (
 	"scamv/internal/logdb"
 )
 
-func rec(p int) ProgramRecord {
-	return ProgramRecord{
-		Prog:        p,
+// result stands in for the campaign's per-program result: the journal
+// stores whatever Append is given, as JSON.
+type result struct {
+	Experiments int            `json:"experiments"`
+	Queries     int            `json:"queries"`
+	Logs        []logdb.Record `json:"logs"`
+}
+
+func rec(p int) result {
+	return result{
 		Experiments: 10 + p,
 		Queries:     3 * p,
-		FirstCETest: -1,
-		Skips:       []Skip{{Prog: p, Test: 1, Reason: "x"}},
 		Logs:        []logdb.Record{{Experiment: "e", Program: "prog", TestIndex: p, Verdict: "indistinguishable"}},
 	}
 }
@@ -32,7 +38,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Campaign {
 func appendN(t *testing.T, c *Campaign, from, to int) {
 	t.Helper()
 	for p := from; p < to; p++ {
-		if _, err := c.Append(rec(p)); err != nil {
+		if _, err := c.Append(p, rec(p)); err != nil {
 			t.Fatalf("append %d: %v", p, err)
 		}
 	}
@@ -57,15 +63,19 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("restored %d records, want 5", len(got))
 	}
-	for i, g := range got {
+	for i, raw := range got {
+		var g result
+		if err := json.Unmarshal(raw, &g); err != nil {
+			t.Fatal(err)
+		}
 		want := rec(i)
-		if g.Prog != i || g.Experiments != want.Experiments || g.Queries != want.Queries ||
-			len(g.Skips) != 1 || len(g.Logs) != 1 || g.Logs[0].TestIndex != i {
-			t.Fatalf("record %d round-tripped wrong: %+v", i, g)
+		if g.Experiments != want.Experiments || g.Queries != want.Queries ||
+			len(g.Logs) != 1 || g.Logs[0].TestIndex != i {
+			t.Fatalf("record %d round-tripped wrong: %s", i, raw)
 		}
 	}
 	// Appending must continue from the restored prefix.
-	if _, err := r.Append(rec(4)); err == nil {
+	if _, err := r.Append(4, rec(4)); err == nil {
 		t.Fatal("out-of-order append accepted")
 	}
 	appendN(t, r, 5, 7)
@@ -277,6 +287,39 @@ func TestResumeWithNoStateIsFresh(t *testing.T) {
 		t.Fatalf("restored %d, want 2", n)
 	}
 	r2.Close()
+}
+
+// TestResumeRefusesV1: a v1 journal or checkpoint (flat per-field program
+// records) is refused on resume with an error naming its version, not
+// decoded into the v2 record shape or skipped as torn.
+func TestResumeRefusesV1(t *testing.T) {
+	const (
+		hdr    = `{"v":1,"kind":"header","campaign":"camp/one","fingerprint":"fp"}`
+		record = `{"kind":"program","prog":0,"experiments":5,"first_ce_test":-1}`
+	)
+	for _, tc := range []struct{ file, content string }{
+		{"journal.jsonl", hdr + "\n" + record + "\n"},
+		{"checkpoint.json", `{"v":1,"campaign":"camp/one","fingerprint":"fp","programs":[` + record + `],"complete":true}`},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			dir := t.TempDir()
+			cdir := filepath.Join(dir, Sanitize("camp/one"))
+			if err := os.MkdirAll(cdir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(cdir, tc.file), []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, err := Open(dir, "camp/one", Options{Resume: true})
+			if err == nil {
+				c.Close()
+				t.Fatal("v1 state accepted on resume")
+			}
+			if !strings.Contains(err.Error(), "format v1") {
+				t.Fatalf("error does not name the version: %v", err)
+			}
+		})
+	}
 }
 
 func TestSanitize(t *testing.T) {

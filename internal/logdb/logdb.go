@@ -11,9 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
-	"syscall"
 )
 
 // Record describes one executed experiment.
@@ -39,8 +37,8 @@ type Record struct {
 
 // Syncer is the optional durability hook of a DB's underlying writer: a
 // writer that also implements Syncer (an *os.File does) gains real fsync
-// through Commit and SyncAppend. Plain writers (a bytes.Buffer in tests)
-// degrade to flush-only commits.
+// through Commit. Plain writers (a bytes.Buffer in tests) degrade to
+// flush-only commits.
 type Syncer interface {
 	Sync() error
 }
@@ -49,8 +47,8 @@ type Syncer interface {
 // It is safe for concurrent use.
 //
 // Write errors are sticky: once any append or flush fails, every subsequent
-// Append/SyncAppend/Commit returns the original error instead of silently
-// continuing. Without the latch, a failed flush could leave a partial line
+// Append/Commit returns the original error instead of silently continuing.
+// Without the latch, a failed flush could leave a partial line
 // in the file and a later successful append would splice its record onto
 // the torn tail — corrupting the line in a way the tolerant reader cannot
 // distinguish from a clean crash. With it, the file ends at the torn line,
@@ -65,7 +63,7 @@ type DB struct {
 }
 
 // NewWriter wraps an arbitrary writer (e.g. a bytes.Buffer in tests). A
-// writer implementing Syncer makes Commit and SyncAppend durable.
+// writer implementing Syncer makes Commit durable.
 func NewWriter(w io.Writer) *DB {
 	d := &DB{w: bufio.NewWriter(w)}
 	if s, ok := w.(Syncer); ok {
@@ -90,10 +88,6 @@ func Open(path string) (*DB, error) {
 func (d *DB) Append(r Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.appendLocked(r)
-}
-
-func (d *DB) appendLocked(r Record) error {
 	if d.werr != nil {
 		return d.werr
 	}
@@ -119,10 +113,6 @@ func (d *DB) appendLocked(r Record) error {
 func (d *DB) Commit() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.commitLocked()
-}
-
-func (d *DB) commitLocked() error {
 	if d.werr != nil {
 		return d.werr
 	}
@@ -137,18 +127,6 @@ func (d *DB) commitLocked() error {
 		}
 	}
 	return nil
-}
-
-// SyncAppend appends one record and commits it durably in a single critical
-// section: when it returns nil, the record's line is flushed and (for
-// Syncer-backed writers) fsynced. The write-ahead unit of internal/journal.
-func (d *DB) SyncAppend(r Record) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.appendLocked(r); err != nil {
-		return err
-	}
-	return d.commitLocked()
 }
 
 // Err returns the sticky write error, if any.
@@ -185,61 +163,6 @@ func (d *DB) Close() error {
 		}
 	}
 	return errors.Join(d.werr, ferr, cerr)
-}
-
-// AtomicWriteFile writes data to path with crash atomicity: the bytes land
-// in a temporary file in path's directory, are fsynced, and the temp file is
-// renamed over path, followed by an fsync of the directory so the rename
-// itself is durable. A reader (or a crash recovery) therefore sees either
-// the complete old content or the complete new content, never a torn mix —
-// the write-temp+fsync+rename contract internal/journal's checkpoints and
-// the future scamv-d result uploads build on.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".atomic-*")
-	if err != nil {
-		return fmt.Errorf("logdb: atomic write: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("logdb: atomic write: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Chmod(perm); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("logdb: atomic write: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("logdb: atomic write: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-completed rename survives a crash.
-// Filesystems that cannot sync directories (some network mounts) report
-// EINVAL; that is the platform's ceiling, not a caller bug, so it is not
-// treated as an error.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("logdb: sync dir: %w", err)
-	}
-	defer f.Close()
-	if err := f.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) {
-		return fmt.Errorf("logdb: sync dir: %w", err)
-	}
-	return nil
 }
 
 // read is the one log parser. A malformed line is held back as torn until

@@ -19,14 +19,14 @@ func TestCancelWhileStalledDoesNotLeakGoroutines(t *testing.T) {
 	src := Source(c, "gen", 0, 1000, func(ctx context.Context, i int) (int, error) {
 		return i, nil
 	})
-	mid := Attach(c, Func[int, int]{"double", func(ctx context.Context, v int) (int, error) {
+	mid := Attach(c, "double", func(ctx context.Context, v int) (int, error) {
 		return v * 2, nil
-	}}, 4, 1, src)
+	}, 4, 1, src)
 	// A second stage with an unbuffered output and no consumer: its workers
 	// fill the one-slot pipe and stall on send.
-	_ = Attach(c, Func[int, int]{"stall", func(ctx context.Context, v int) (int, error) {
+	_ = Attach(c, "stall", func(ctx context.Context, v int) (int, error) {
 		return v + 1, nil
-	}}, 4, 0, mid)
+	}, 4, 0, mid)
 
 	// Let the pipeline actually wedge: the stall stage must have received
 	// items and be blocked emitting them before we pull the plug.

@@ -17,12 +17,12 @@ func TestPanicRecoveredAsStageError(t *testing.T) {
 	src := Source(c, "src", 4, n, func(_ context.Context, i int) (int, error) {
 		return i, nil
 	})
-	st := Attach(c, Func[int, int]{StageName: "boomer", F: func(_ context.Context, v int) (int, error) {
+	st := Attach(c, "boomer", func(_ context.Context, v int) (int, error) {
 		if v == 2 {
 			panic("kaboom at two")
 		}
 		return v, nil
-	}}, 4, 4, src)
+	}, 4, 4, src)
 	var okIdx []int
 	if err := Collect(c, "collect", st, func(it Item[int]) error {
 		if it.Err == nil {

@@ -4,7 +4,7 @@
 //
 // The design mirrors the paper's Fig. 1 pipeline (generate → lift →
 // symbolically execute → synthesize relation → generate inputs → run on
-// platform → analyze): every box becomes a Stage, every arrow a bounded
+// platform → analyze): every box becomes a stage, every arrow a bounded
 // channel, and the engine overlaps the boxes — test generation for program
 // p+1 runs while program p executes on the platform.
 //
@@ -33,27 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Stage is one box of the pipeline: a pure per-item transformation from In
-// to Out. Run must be safe for concurrent calls (one per worker) and should
-// honor ctx for long computations; the engine also checks ctx between
-// items.
-type Stage[In, Out any] interface {
-	Name() string
-	Run(ctx context.Context, in In) (Out, error)
-}
-
-// Func adapts an ordinary function to a Stage.
-type Func[In, Out any] struct {
-	StageName string
-	F         func(context.Context, In) (Out, error)
-}
-
-// Name implements Stage.
-func (f Func[In, Out]) Name() string { return f.StageName }
-
-// Run implements Stage.
-func (f Func[In, Out]) Run(ctx context.Context, in In) (Out, error) { return f.F(ctx, in) }
 
 // Item is one unit of work in flight, tagged with the sequence index its
 // source assigned. Err carries a processing failure (or ErrSkipped) past
@@ -120,8 +99,8 @@ type Snapshot struct {
 	In      int64         // items received
 	Out     int64         // items emitted (includes tombstones)
 	Skipped int64         // items dropped past the failure cutoff
-	Failed  int64         // items whose Run returned an error
-	Busy    time.Duration // total time inside Stage.Run, summed over workers
+	Failed  int64         // items whose stage body returned an error
+	Busy    time.Duration // total time inside the stage body, summed over workers
 	Wait    time.Duration // total time blocked receiving input (starvation)
 	Stall   time.Duration // total time blocked sending output (backpressure)
 }
@@ -261,16 +240,19 @@ func Source[T any](c *Coord, name string, buf, n int, gen func(ctx context.Conte
 	return out
 }
 
-// Attach connects a stage to its input channel with the given worker count
-// and output buffer, returning the output channel. Each worker loops:
+// Attach connects a stage — one box of the pipeline, the per-item
+// transformation run — to its input channel with the given worker count and
+// output buffer, returning the output channel. run must be safe for
+// concurrent calls (one per worker) and should honor ctx for long
+// computations; the engine also checks ctx between items. Each worker loops:
 // receive, skip-or-run, emit. Items that arrive already failed (or above
-// the cutoff) pass through as tombstones without invoking the stage, so
-// every input index reaches the output exactly once.
-func Attach[In, Out any](c *Coord, s Stage[In, Out], workers, buf int, in <-chan Item[In]) <-chan Item[Out] {
+// the cutoff) pass through as tombstones without invoking run, so every
+// input index reaches the output exactly once.
+func Attach[In, Out any](c *Coord, name string, run func(context.Context, In) (Out, error), workers, buf int, in <-chan Item[In]) <-chan Item[Out] {
 	if workers < 1 {
 		workers = 1
 	}
-	m := c.addMetrics(s.Name(), workers)
+	m := c.addMetrics(name, workers)
 	out := make(chan Item[Out], buf)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -300,7 +282,7 @@ func Attach[In, Out any](c *Coord, s Stage[In, Out], workers, buf int, in <-chan
 					m.skipped.Add(1)
 				default:
 					b0 := time.Now()
-					v, err := runItem(c.ctx, s.Name(), it.Val, s.Run)
+					v, err := runItem(c.ctx, name, it.Val, run)
 					m.busyNS.Add(time.Since(b0).Nanoseconds())
 					if err != nil {
 						c.Fail(it.Index, err)

@@ -21,12 +21,12 @@ func TestPipelineOrderAndMetrics(t *testing.T) {
 	})
 	// Several workers so items can overtake each other; a tiny index-odd
 	// delay makes reordering likely.
-	doubled := Attach(c, Func[int, int]{StageName: "double", F: func(_ context.Context, v int) (int, error) {
+	doubled := Attach(c, "double", func(_ context.Context, v int) (int, error) {
 		if v%2 == 1 {
 			time.Sleep(time.Millisecond)
 		}
 		return 2 * v, nil
-	}}, 4, 4, src)
+	}, 4, 4, src)
 	var got []int
 	if err := Collect(c, "collect", doubled, func(it Item[int]) error {
 		if it.Err != nil {
@@ -82,17 +82,17 @@ func TestFailureCutoffSkipsTail(t *testing.T) {
 		src <- Item[int]{Index: i, Val: i}
 	}
 	close(src)
-	st1 := Attach(c, Func[int, int]{StageName: "fail3", F: func(_ context.Context, v int) (int, error) {
+	st1 := Attach(c, "fail3", func(_ context.Context, v int) (int, error) {
 		if v == 3 {
 			return 0, boom
 		}
 		return v, nil
-	}}, 1, 1, (<-chan Item[int])(src))
+	}, 1, 1, (<-chan Item[int])(src))
 	var processed []int
-	st2 := Attach(c, Func[int, int]{StageName: "witness", F: func(_ context.Context, v int) (int, error) {
+	st2 := Attach(c, "witness", func(_ context.Context, v int) (int, error) {
 		processed = append(processed, v)
 		return v, nil
-	}}, 1, 1, st1)
+	}, 1, 1, st1)
 	var okIdx, skippedIdx, failedIdx []int
 	if err := Collect(c, "collect", st2, func(it Item[int]) error {
 		switch {
@@ -147,12 +147,12 @@ func TestLowestIndexErrorWins(t *testing.T) {
 		c := NewCoord(context.Background())
 		const n = 30
 		src := Source(c, "src", n, n, func(_ context.Context, i int) (int, error) { return i, nil })
-		st := Attach(c, Func[int, int]{StageName: "multi-fail", F: func(_ context.Context, v int) (int, error) {
+		st := Attach(c, "multi-fail", func(_ context.Context, v int) (int, error) {
 			if v == 5 || v == 6 || v == 25 {
 				return 0, fmt.Errorf("fail-%d", v)
 			}
 			return v, nil
-		}}, 8, 4, src)
+		}, 8, 4, src)
 		if err := Collect(c, "collect", st, func(Item[int]) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -172,14 +172,14 @@ func TestExternalCancel(t *testing.T) {
 	defer c.Cancel()
 	var started atomic.Int64
 	src := Source(c, "src", 1, 1000, func(_ context.Context, i int) (int, error) { return i, nil })
-	slow := Attach(c, Func[int, int]{StageName: "slow", F: func(ctx context.Context, v int) (int, error) {
+	slow := Attach(c, "slow", func(ctx context.Context, v int) (int, error) {
 		started.Add(1)
 		select {
 		case <-time.After(50 * time.Millisecond):
 		case <-ctx.Done():
 		}
 		return v, nil
-	}}, 2, 1, src)
+	}, 2, 1, src)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var collErr error

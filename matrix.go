@@ -25,9 +25,10 @@ import (
 //     costs one generation plus K executions — far below K independent
 //     campaigns.
 //   - Platform 0 is the campaign's primary row: its verdicts feed the
-//     top-level Result exactly as a single-platform campaign's would, so a
-//     matrix whose first platform is the default config reproduces today's
-//     counts bit for bit.
+//     top-level Result exactly as a single-platform campaign's would. A
+//     single-platform campaign is the same batch loop with one row, so a
+//     matrix whose first platform is the campaign's own core reproduces the
+//     plain campaign's counts bit for bit.
 
 // PlatformSpec names one platform of a matrix campaign.
 type PlatformSpec struct {
@@ -53,21 +54,23 @@ func PlatformsFromPresets(names ...string) ([]PlatformSpec, error) {
 
 // PlatformResult is one row of the soundness matrix: the campaign's counts
 // restricted to a single platform. Count fields and the first-counterexample
-// index are deterministic per seed; ExeTime is wall clock.
+// index are deterministic per seed; ExeTime is wall clock. The same struct
+// is one program's contribution to a row (programResult.Rows), which is how
+// it reaches the campaign journal, hence the JSON tags.
 type PlatformResult struct {
-	Platform        string
-	Experiments     int
-	Counterexamples int
-	Inconclusive    int
-	SkippedTests    int
-	ExeTime         time.Duration
+	Platform        string        `json:"platform,omitempty"`
+	Experiments     int           `json:"experiments,omitempty"`
+	Counterexamples int           `json:"counterexamples,omitempty"`
+	Inconclusive    int           `json:"inconclusive,omitempty"`
+	SkippedTests    int           `json:"skipped_tests,omitempty"`
+	ExeTime         time.Duration `json:"exe_time,omitempty"`
 
 	// Found reports whether this platform produced a counterexample;
 	// FirstCEProgram/FirstCETest locate the first one in campaign order
 	// (-1/-1 when Found is false).
-	Found          bool
-	FirstCEProgram int
-	FirstCETest    int
+	Found          bool `json:"found,omitempty"`
+	FirstCEProgram int  `json:"first_ce_program"`
+	FirstCETest    int  `json:"first_ce_test"`
 }
 
 // Verdict classifies the model on this platform: "unsound" when the platform
@@ -84,45 +87,51 @@ func (r *PlatformResult) Verdict() string {
 	}
 }
 
-// platformTally is one program's contribution to one matrix row, merged in
-// program order by Result.mergeProgram like the rest of programResult.
-type platformTally struct {
-	experiments     int
-	counterexamples int
-	inconclusive    int
-	skipped         int
-	exeTime         time.Duration
-	found           bool
-	firstCETest     int
-}
-
-func (pt *platformTally) count(v Verdict, d time.Duration, t int) {
-	pt.experiments++
-	pt.exeTime += d
+// count tallies the verdict of test t of program p, executed in d.
+func (r *PlatformResult) count(v Verdict, d time.Duration, p, t int) {
+	r.Experiments++
+	r.ExeTime += d
 	switch v {
 	case Counterexample:
-		pt.counterexamples++
-		if !pt.found {
-			pt.found = true
-			pt.firstCETest = t
+		r.Counterexamples++
+		if !r.Found {
+			r.Found = true
+			r.FirstCEProgram, r.FirstCETest = p, t
 		}
 	case Inconclusive:
-		pt.inconclusive++
+		r.Inconclusive++
 	}
 }
 
-// buildMatrix validates the platform list and derives the per-platform
-// experiment clones the Execute stage batches over. Each clone is the
-// campaign experiment with only the simulated core swapped: training, noise
-// seeds, repeat counts, and the attacker view stay platform-independent, so
-// every platform row sees the same test suite under the same measurement
-// protocol.
-func buildMatrix(e *Experiment) error {
+// add folds o into r. Programs merge in ascending order, so the first
+// counterexample kept is the first in campaign order: deterministic per
+// seed.
+func (r *PlatformResult) add(o *PlatformResult) {
+	r.Experiments += o.Experiments
+	r.Counterexamples += o.Counterexamples
+	r.Inconclusive += o.Inconclusive
+	r.SkippedTests += o.SkippedTests
+	r.ExeTime += o.ExeTime
+	if o.Found && !r.Found {
+		r.Found = true
+		r.FirstCEProgram, r.FirstCETest = o.FirstCEProgram, o.FirstCETest
+	}
+}
+
+// buildRows derives the experiments the Execute stage batches over, one per
+// row. A single-platform campaign is the one-row case: its only row is the
+// campaign experiment itself. A matrix campaign validates its platform list
+// and gets one clone per platform: the campaign experiment with only the
+// simulated core swapped. Training, noise seeds, repeat counts, and the
+// attacker view stay platform-independent, so every platform row sees the
+// same test suite under the same measurement protocol.
+func buildRows(e *Experiment) error {
 	if len(e.Platforms) == 0 {
+		e.rows = []*Experiment{e}
 		return nil
 	}
 	seen := make(map[string]bool, len(e.Platforms))
-	e.matrixExps = make([]*Experiment, len(e.Platforms))
+	e.rows = make([]*Experiment, len(e.Platforms))
 	for k, spec := range e.Platforms {
 		if spec.Name == "" {
 			return fmt.Errorf("scamv: matrix platform %d has no name", k)
@@ -136,8 +145,8 @@ func buildMatrix(e *Experiment) error {
 		pe.machines = machinesFor(pe.Micro)
 		// A clone is a plain single-platform experiment: it must not carry
 		// the matrix fields of the campaign it serves.
-		pe.Platforms, pe.matrixExps = nil, nil
-		e.matrixExps[k] = &pe
+		pe.Platforms, pe.rows = nil, nil
+		e.rows[k] = &pe
 	}
 	return nil
 }

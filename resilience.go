@@ -59,9 +59,9 @@ func ParseFailPolicy(s string) (FailPolicy, error) {
 // case whose retry budget was exhausted, or (Test == -1) a whole program
 // quarantined after consecutive failures.
 type Skip struct {
-	Prog   int    // program index in campaign order
-	Test   int    // test index, or -1 for a program-level quarantine record
-	Reason string // last error, human-readable
+	Prog   int    `json:"prog"`   // program index in campaign order
+	Test   int    `json:"test"`   // test index, or -1 for a program-level quarantine record
+	Reason string `json:"reason"` // last error, human-readable
 }
 
 // execStats counts the resilience events of one executed test case.

@@ -20,8 +20,10 @@ package scamv
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -140,10 +142,12 @@ type Experiment struct {
 	// counts exactly as a single-platform campaign's would. See matrix.go.
 	Platforms []PlatformSpec
 
-	// matrixExps holds the per-platform experiment clones of a matrix
-	// campaign (the campaign experiment with Micro swapped), built by
-	// RunContext via buildMatrix.
-	matrixExps []*Experiment
+	// rows holds the experiments the Execute stage batches every test case
+	// over, row 0 the primary: the campaign experiment itself for a
+	// single-platform campaign, the per-platform clones (the campaign
+	// experiment with Micro swapped) for a matrix. Built by RunContext via
+	// buildRows.
+	rows []*Experiment
 
 	// FailPolicy selects what happens when a platform call keeps failing:
 	// FailFast (zero value) aborts the campaign as before, Degrade records
@@ -192,7 +196,7 @@ type Experiment struct {
 	Parallel int
 
 	// machines is SimPlatform's machine pool for Micro, resolved once by
-	// RunContext (and by buildMatrix for each platform clone) so Execute
+	// RunContext (and by buildRows for each platform clone) so Execute
 	// need not look it up on every call.
 	machines *machinePool
 }
@@ -580,42 +584,29 @@ func (pl *Pipeline) ExecuteTestCase(e *Experiment, tc *core.TestCase, train *cor
 }
 
 // programResult is one program's contribution to the campaign Result,
-// produced by the Execute stage and merged in program order by Collect.
+// produced by the Execute stage and merged in program order by Collect. It
+// is also what the campaign journal stores for the program, so a resumed
+// campaign merges restored programs through the same step.
 type programResult struct {
-	experiments     int
-	counterexamples int
-	inconclusive    int
-	encodeFallbacks int
-	queries         int
-	genTime         time.Duration
-	exeTime         time.Duration
-	found           bool
-	firstCETest     int // test index of the first counterexample, -1 if none
-	ttcWall         time.Duration
-	records         []logdb.Record
+	// Rows holds one row per Experiment.rows entry. Row 0, the primary,
+	// carries the program's top-level counts, skips included.
+	Rows            []PlatformResult `json:"rows"`
+	EncodeFallbacks int              `json:"encode_fallbacks,omitempty"`
+	Queries         int              `json:"queries,omitempty"`
+	GenTime         time.Duration    `json:"gen_time,omitempty"`
+	// ExeTime counts every platform call, failed attempts included.
+	ExeTime time.Duration `json:"exe_time,omitempty"`
+	TTCWall time.Duration `json:"ttc_wall,omitempty"`
 
 	// Resilience accounting under FailPolicy Degrade (see resilience.go).
-	skippedTests int
-	quarantined  bool
-	skips        []Skip
-	retries      int
-	timeouts     int
+	Quarantined bool   `json:"quarantined,omitempty"`
+	Skips       []Skip `json:"skips,omitempty"`
+	Retries     int    `json:"retries,omitempty"`
+	Timeouts    int    `json:"timeouts,omitempty"`
 
-	// platforms is the per-platform tally of a matrix campaign, one entry
-	// per Experiment.Platforms spec; nil otherwise. See matrix.go.
-	platforms []platformTally
-}
-
-func wordsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	// Records are the program's experiment-log records. The journal carries
+	// them so a resumed campaign replays them into its log.
+	Records []logdb.Record `json:"logs,omitempty"`
 }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective 64-bit mixer with
@@ -652,7 +643,7 @@ func noiseSeed(seed int64, p, t int) int64 {
 func encodeRoundTrip(prog *arm.Program) (_ *arm.Program, fallback bool) {
 	if words, err := arm.Encode(prog); err == nil {
 		if decoded, err := arm.Decode(prog.Name, words); err == nil {
-			if rewords, err := arm.Encode(decoded); err == nil && wordsEqual(words, rewords) {
+			if rewords, err := arm.Encode(decoded); err == nil && slices.Equal(words, rewords) {
 				return decoded, false
 			}
 			return prog, true
@@ -714,138 +705,107 @@ func (ts *trainingStates) get(path int) *core.State {
 }
 
 // executeProgram is the Execute stage body: it runs every generated test
-// case of program p on the platform and classifies the verdicts. Under
-// FailPolicy Degrade a test whose retry budget is exhausted becomes a skip
-// record instead of a campaign abort, and QuarantineAfter consecutive
-// failures quarantine the program (its remaining tests count as skipped).
+// case of program p on the platform and classifies the verdicts. Each test
+// case is a batch over the campaign's rows (Experiment.rows): the primary
+// row first, then every other platform of a matrix back to back, with the
+// same training state and noise seed (both platform-independent by
+// construction, which is what keeps a matrix row comparable to the
+// equivalent single-platform campaign). A single-platform campaign is the
+// one-row case.
 //
-// In a matrix campaign (Experiment.Platforms) each test case is a batch: the
-// K platform runs execute back to back before the next test, on the primary
-// platform first (platform 0, whose verdicts feed the single-platform
-// bookkeeping below) and then on every other platform, tallied per row.
+// Under FailPolicy Degrade a test whose retry budget is exhausted on the
+// primary row becomes a skip record instead of a campaign abort, skips the
+// whole batch so the rows stay aligned on one executed test set, and
+// QuarantineAfter consecutive such failures quarantine the program (its
+// remaining tests count as skipped). A failure on another row skips only
+// that row's run.
 func executeProgram(ctx context.Context, e *Experiment, pl *Pipeline, p int, g genOut, start time.Time) (*programResult, error) {
-	out := &programResult{genTime: g.genTime, queries: g.queries, firstCETest: -1}
-	matrix := e.matrixExps
-	if len(matrix) > 0 {
-		out.platforms = make([]platformTally, len(matrix))
-		for k := range out.platforms {
-			out.platforms[k].firstCETest = -1
+	out := &programResult{GenTime: g.genTime, Queries: g.queries, Rows: make([]PlatformResult, len(e.rows))}
+	for k := range out.Rows {
+		out.Rows[k] = PlatformResult{FirstCEProgram: -1, FirstCETest: -1}
+		if len(e.Platforms) > 0 {
+			out.Rows[k].Platform = e.Platforms[k].Name
 		}
 	}
-	primary := e
-	if len(matrix) > 0 {
-		primary = matrix[0]
+	skipRows := func(n int) {
+		for k := range out.Rows {
+			out.Rows[k].SkippedTests += n
+		}
 	}
-	platformName := func(k int) string { return e.Platforms[k].Name }
 	spanStart := time.Now()
 	trainStates := trainingStates{byPath: map[int]*core.State{}, solve: func(path int) (*core.State, bool) {
 		return pl.TrainingState(path, e.Seed+int64(p))
 	}}
 	consecutive := 0
+tests:
 	for t, tc := range g.tests {
 		var train *core.State
 		if e.Speculative {
 			train = trainStates.get(tc.PathA)
 		}
-		exeStart := time.Now()
-		verdict, stats, err := pl.executeTestCase(ctx, primary, p, t, tc, train, noiseSeed(e.Seed, p, t))
-		exeDur := time.Since(exeStart)
-		out.exeTime += exeDur
-		out.retries += stats.retries
-		out.timeouts += stats.timeouts
-		if err != nil {
-			if e.FailPolicy != Degrade || ctx.Err() != nil {
-				return nil, err
-			}
-			out.skippedTests++
-			out.skips = append(out.skips, Skip{Prog: p, Test: t, Reason: err.Error()})
-			e.Trace.Skip(p, t, err.Error())
-			// A primary failure skips the whole batch: the matrix rows stay
-			// aligned on the same executed test set.
-			for k := range out.platforms {
-				out.platforms[k].skipped++
-			}
-			consecutive++
-			if consecutive >= e.QuarantineAfter {
-				remaining := len(g.tests) - t - 1
-				out.skippedTests += remaining
-				for k := range out.platforms {
-					out.platforms[k].skipped += remaining
-				}
-				out.quarantined = true
-				reason := fmt.Sprintf("quarantined after %d consecutive failures (last: %v)", consecutive, err)
-				out.skips = append(out.skips, Skip{Prog: p, Test: -1, Reason: reason})
-				e.Trace.Quarantine(p, reason)
-				break
-			}
-			continue
-		}
-		consecutive = 0
-		e.Trace.Verdict(p, t, verdict.String(), exeDur)
-		out.experiments++
-		switch verdict {
-		case Counterexample:
-			out.counterexamples++
-			if !out.found {
-				out.found = true
-				out.firstCETest = t
-				out.ttcWall = time.Since(start)
-			}
-		case Inconclusive:
-			out.inconclusive++
-		}
-		// Log records are built when either consumer exists: the experiment
-		// log appends them now, and the journal carries them durably so a
-		// resumed campaign can replay them into a log opened only later.
-		logRecord := func(platform string, v Verdict, d time.Duration) {
-			if e.Log == nil && e.Journal == nil {
-				return
-			}
-			out.records = append(out.records, logdb.Record{
-				Experiment: e.Name,
-				Program:    pl.Prog.Name,
-				TestIndex:  t,
-				PathA:      tc.PathA,
-				PathB:      tc.PathB,
-				Class:      tc.Class,
-				Verdict:    v.String(),
-				Platform:   platform,
-				GenMicros:  g.durs[t].Microseconds(),
-				ExeMicros:  d.Microseconds(),
-				Diff:       tc.Diff(),
-			})
-		}
-		if len(matrix) == 0 {
-			logRecord("", verdict, exeDur)
-			continue
-		}
-		// Matrix batch: tally the primary run as row 0, then run the
-		// remaining platforms on the same test case with the same training
-		// state and noise seed (both platform-independent by construction,
-		// which is what keeps a matrix row comparable to the equivalent
-		// single-platform campaign).
-		out.platforms[0].count(verdict, exeDur, t)
-		e.Trace.PlatformVerdict(p, t, platformName(0), verdict.String(), exeDur)
-		logRecord(platformName(0), verdict, exeDur)
-		for k := 1; k < len(matrix); k++ {
-			kStart := time.Now()
-			kv, kStats, kerr := pl.executeTestCase(ctx, matrix[k], p, t, tc, train, noiseSeed(e.Seed, p, t))
-			kDur := time.Since(kStart)
-			out.exeTime += kDur
-			out.retries += kStats.retries
-			out.timeouts += kStats.timeouts
-			if kerr != nil {
+		for k, re := range e.rows {
+			row := &out.Rows[k]
+			exeStart := time.Now()
+			verdict, stats, err := pl.executeTestCase(ctx, re, p, t, tc, train, noiseSeed(e.Seed, p, t))
+			exeDur := time.Since(exeStart)
+			out.ExeTime += exeDur
+			out.Retries += stats.retries
+			out.Timeouts += stats.timeouts
+			if err != nil {
 				if e.FailPolicy != Degrade || ctx.Err() != nil {
-					return nil, fmt.Errorf("platform %s: %w", platformName(k), kerr)
+					if k > 0 {
+						err = fmt.Errorf("platform %s: %w", row.Platform, err)
+					}
+					return nil, err
 				}
-				// A secondary-platform failure skips only that row's run; the
-				// primary bookkeeping (and quarantine) is untouched.
-				out.platforms[k].skipped++
-				continue
+				if k > 0 {
+					row.SkippedTests++
+					continue
+				}
+				skipRows(1)
+				out.Skips = append(out.Skips, Skip{Prog: p, Test: t, Reason: err.Error()})
+				e.Trace.Skip(p, t, err.Error())
+				consecutive++
+				if consecutive >= e.QuarantineAfter {
+					skipRows(len(g.tests) - t - 1)
+					out.Quarantined = true
+					reason := fmt.Sprintf("quarantined after %d consecutive failures (last: %v)", consecutive, err)
+					out.Skips = append(out.Skips, Skip{Prog: p, Test: -1, Reason: reason})
+					e.Trace.Quarantine(p, reason)
+					break tests
+				}
+				continue tests
 			}
-			out.platforms[k].count(kv, kDur, t)
-			e.Trace.PlatformVerdict(p, t, platformName(k), kv.String(), kDur)
-			logRecord(platformName(k), kv, kDur)
+			if k == 0 {
+				consecutive = 0
+				e.Trace.Verdict(p, t, verdict.String(), exeDur)
+				if verdict == Counterexample && !row.Found {
+					out.TTCWall = time.Since(start)
+				}
+			}
+			row.count(verdict, exeDur, p, t)
+			if len(e.Platforms) > 0 {
+				e.Trace.PlatformVerdict(p, t, row.Platform, verdict.String(), exeDur)
+			}
+			// Log records are built when either consumer exists: the
+			// experiment log appends them now, and the journal carries them
+			// durably so a resumed campaign can replay them into a log
+			// opened only later.
+			if e.Log != nil || e.Journal != nil {
+				out.Records = append(out.Records, logdb.Record{
+					Experiment: e.Name,
+					Program:    pl.Prog.Name,
+					TestIndex:  t,
+					PathA:      tc.PathA,
+					PathB:      tc.PathB,
+					Class:      tc.Class,
+					Verdict:    verdict.String(),
+					Platform:   row.Platform,
+					GenMicros:  g.durs[t].Microseconds(),
+					ExeMicros:  exeDur.Microseconds(),
+					Diff:       tc.Diff(),
+				})
+			}
 		}
 	}
 	e.Trace.Span("execute", p, spanStart)
@@ -858,48 +818,38 @@ func executeProgram(ctx context.Context, e *Experiment, pl *Pipeline, p int, g g
 // counts, the log record sequence, and the first-counterexample index
 // deterministic regardless of worker scheduling.
 func (res *Result) mergeProgram(e *Experiment, p int, out *programResult) error {
+	primary := &out.Rows[0]
 	res.Programs++
-	res.Experiments += out.experiments
-	res.Counterexamples += out.counterexamples
-	res.Inconclusive += out.inconclusive
-	res.EncodeFallbacks += out.encodeFallbacks
-	res.Queries += out.queries
-	res.GenTime += out.genTime
-	res.ExeTime += out.exeTime
-	res.SkippedTests += out.skippedTests
-	if out.quarantined {
+	res.Experiments += primary.Experiments
+	res.Counterexamples += primary.Counterexamples
+	res.Inconclusive += primary.Inconclusive
+	res.SkippedTests += primary.SkippedTests
+	res.EncodeFallbacks += out.EncodeFallbacks
+	res.Queries += out.Queries
+	res.GenTime += out.GenTime
+	res.ExeTime += out.ExeTime
+	if out.Quarantined {
 		res.QuarantinedPrograms++
 	}
-	res.Skips = append(res.Skips, out.skips...)
-	res.Retries += out.retries
-	res.Timeouts += out.timeouts
-	if out.found {
+	res.Skips = append(res.Skips, out.Skips...)
+	res.Retries += out.Retries
+	res.Timeouts += out.Timeouts
+	if primary.Found {
 		res.ProgramsWithCounter++
 		if !res.Found {
 			// First in program order: the deterministic index.
-			res.FirstCEProgram, res.FirstCETest = p, out.firstCETest
+			res.FirstCEProgram, res.FirstCETest = primary.FirstCEProgram, primary.FirstCETest
 		}
-		if !res.Found || out.ttcWall < res.TTC {
+		if !res.Found || out.TTCWall < res.TTC {
 			res.Found = true
-			res.TTC = out.ttcWall
+			res.TTC = out.TTCWall
 		}
 	}
-	for k := range out.platforms {
-		pt, row := &out.platforms[k], &res.Matrix[k]
-		row.Experiments += pt.experiments
-		row.Counterexamples += pt.counterexamples
-		row.Inconclusive += pt.inconclusive
-		row.SkippedTests += pt.skipped
-		row.ExeTime += pt.exeTime
-		if pt.found && !row.Found {
-			// Programs merge in ascending order, so this is the first
-			// counterexample in campaign order — deterministic per seed.
-			row.Found = true
-			row.FirstCEProgram, row.FirstCETest = p, pt.firstCETest
-		}
+	for k := range res.Matrix {
+		res.Matrix[k].add(&out.Rows[k])
 	}
 	if e.Log != nil {
-		for _, rec := range out.records {
+		for _, rec := range out.Records {
 			if err := e.Log.Append(rec); err != nil {
 				return err
 			}
@@ -910,7 +860,7 @@ func (res *Result) mergeProgram(e *Experiment, p int, out *programResult) error 
 	// contiguity internal/journal enforces. Restored programs (p < restoredN)
 	// were journaled before the restart and are only replayed here.
 	if e.Journal != nil && p >= e.restoredN {
-		ckpt, err := e.Journal.Append(toJournalRecord(p, out))
+		ckpt, err := e.Journal.Append(p, out)
 		if err != nil {
 			return err
 		}
@@ -961,7 +911,7 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 		mp.setTracer(e.Trace)
 	}
 	e.machines = machinesFor(e.Micro)
-	if err := buildMatrix(&e); err != nil {
+	if err := buildRows(&e); err != nil {
 		return nil, err
 	}
 	for _, spec := range e.Platforms {
@@ -982,8 +932,15 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 		// Merge the restored prefix through the same in-order merge step the
 		// engine uses.
 		e.restoredN = len(restored) // before the merges: it gates re-journaling
-		for _, jr := range restored {
-			if err := res.mergeProgram(&e, jr.Prog, fromJournalRecord(jr)); err != nil {
+		for p, raw := range restored {
+			var out programResult
+			if err := json.Unmarshal(raw, &out); err != nil {
+				return nil, fmt.Errorf("scamv: journal program %d: %w", p, err)
+			}
+			if len(out.Rows) != len(e.rows) {
+				return nil, fmt.Errorf("scamv: journal program %d has %d platform rows but the campaign runs %d", p, len(out.Rows), len(e.rows))
+			}
+			if err := res.mergeProgram(&e, p, &out); err != nil {
 				return nil, err
 			}
 		}

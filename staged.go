@@ -23,7 +23,7 @@ import (
 // generation for program p+1 overlaps execution of program p.
 
 // Payload types flowing between stages. The program index rides inside the
-// payload as well as in the item tag, because Stage.Run only sees the
+// payload as well as in the item tag, because a stage body only sees the
 // payload.
 type stageProg struct {
 	p        int
@@ -104,51 +104,39 @@ func runStaged(ctx context.Context, e *Experiment, res *Result, start time.Time)
 		})
 
 	// Encode: A64 machine-code round trip (cheap, light pool).
-	encoded := stage.Attach(c, stage.Func[stageProg, stageProg]{
-		StageName: "encode",
-		F: func(_ context.Context, in stageProg) (stageProg, error) {
-			t0 := time.Now()
-			in.prog, in.fallback = encodeRoundTrip(in.prog)
-			e.Trace.Span("encode", in.p, t0)
-			return in, nil
-		},
+	encoded := stage.Attach(c, "encode", func(_ context.Context, in stageProg) (stageProg, error) {
+		t0 := time.Now()
+		in.prog, in.fallback = encodeRoundTrip(in.prog)
+		e.Trace.Span("encode", in.p, t0)
+		return in, nil
 	}, light, buf, progs)
 
 	// Prepare: lift to BIR, instrument, symbolically execute (NewPipeline).
-	prepared := stage.Attach(c, stage.Func[stageProg, stagePrepared]{
-		StageName: "prepare",
-		F: func(_ context.Context, in stageProg) (stagePrepared, error) {
-			pl, err := newPipelineTraced(in.prog, e.Model, e.Trace, in.p)
-			if err != nil {
-				return stagePrepared{}, err
-			}
-			return stagePrepared{p: in.p, pl: pl, fallback: in.fallback}, nil
-		},
+	prepared := stage.Attach(c, "prepare", func(_ context.Context, in stageProg) (stagePrepared, error) {
+		pl, err := newPipelineTraced(in.prog, e.Model, e.Trace, in.p)
+		if err != nil {
+			return stagePrepared{}, err
+		}
+		return stagePrepared{p: in.p, pl: pl, fallback: in.fallback}, nil
 	}, heavy, buf, encoded)
 
 	// TestGen: refinement-guided test-case generation (core.Generator). The
 	// stage context reaches the SAT search, so cancellation does not block
 	// behind a pathological query.
-	genned := stage.Attach(c, stage.Func[stagePrepared, stageGenned]{
-		StageName: "testgen",
-		F: func(sctx context.Context, in stagePrepared) (stageGenned, error) {
-			return stageGenned{p: in.p, pl: in.pl, gen: generateTests(sctx, e, in.pl, in.p), fallback: in.fallback}, nil
-		},
+	genned := stage.Attach(c, "testgen", func(sctx context.Context, in stagePrepared) (stageGenned, error) {
+		return stageGenned{p: in.p, pl: in.pl, gen: generateTests(sctx, e, in.pl, in.p), fallback: in.fallback}, nil
 	}, heavy, buf, prepared)
 
 	// Execute: run every test case on the Platform and classify verdicts.
-	executed := stage.Attach(c, stage.Func[stageGenned, *programResult]{
-		StageName: "execute",
-		F: func(sctx context.Context, in stageGenned) (*programResult, error) {
-			out, err := executeProgram(sctx, e, in.pl, in.p, in.gen, start)
-			if err != nil {
-				return nil, err
-			}
-			if in.fallback {
-				out.encodeFallbacks++
-			}
-			return out, nil
-		},
+	executed := stage.Attach(c, "execute", func(sctx context.Context, in stageGenned) (*programResult, error) {
+		out, err := executeProgram(sctx, e, in.pl, in.p, in.gen, start)
+		if err != nil {
+			return nil, err
+		}
+		if in.fallback {
+			out.EncodeFallbacks++
+		}
+		return out, nil
 	}, heavy, buf, genned)
 
 	// Expose the live pipeline to the observatory: the tracer's /metrics
