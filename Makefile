@@ -61,11 +61,11 @@ obs-smoke:
 	$(GO) test -race -count=1 -run 'TestObservatory' .
 
 # Crash-safety smoke: the journal package under the race detector, plus the
-# root crash suite — resumed-vs-uninterrupted golden equality (including
-# the Degrade fault-injection profile), fingerprint
-# mismatch rejection, graceful drain, and the subprocess SIGKILL/SIGINT
-# chaos loop that kills a real journaled campaign at escalating offsets and
-# resumes it to byte-identical results.
+# root crash suite — resumed-vs-uninterrupted golden equality from the
+# journal alone (including the Degrade fault-injection profile),
+# fingerprint mismatch rejection, graceful drain, and the subprocess
+# SIGKILL/SIGINT chaos loop that kills a real journaled campaign at
+# escalating offsets and resumes it to byte-identical results.
 crash-smoke:
 	$(GO) test -race -count=1 ./internal/journal
 	$(GO) test -count=1 -run 'TestResume|TestDrain|TestCrash|TestGraceful|TestSecondSignal' .
@@ -89,9 +89,10 @@ bench-micro:
 # quartiles and min and each A/B's per-round ratios of both against the
 # 1.05x target. Fails if tracing, observing or journaling changes a count, a
 # matrix row differs from its single-platform campaign, the trace is empty,
-# /metrics is never scraped or no checkpoint is written, a median
-# wall-clock overhead ratio reaches 1.25x, or the matrix's median wall-clock
-# ratio to the sequential campaigns reaches 0.5x. CPU ratios are not gated.
+# /metrics is never scraped, the journaled row's journal does not restore
+# all 8 programs on resume, a median wall-clock overhead ratio reaches
+# 1.25x, or the matrix's median wall-clock ratio to the sequential campaigns
+# reaches 0.5x. CPU ratios are not gated.
 bench-harness:
 	BENCH_HARNESS=1 $(GO) test -run TestWriteBench -count=1 -v .
 
@@ -105,8 +106,14 @@ bench:
 # any result: builds BASE (git archive into a temporary directory) and the
 # working tree, runs -exp all -scale 0.06, -exp mct-a -matrix and -exp mpart
 # (both -programs 30 -tests 10) at seeds 1-4 with -log, drops the gen_us and
-# exe_us timings, sorts the records and fails on any difference. Takes about
-# a minute on two CPUs; not part of ci. Usage: make log-identity BASE=<rev>
+# exe_us timings, sorts the records and fails on any difference. Per seed,
+# one journal probe more: each binary runs -exp mpart at 30 x 10 with
+# -checkpoint DIR, then -resume DIR -log, which must restore every program
+# and generate none (its stages blocks show proggen out = 0), and the head
+# binary also resumes the base binary's DIR; all three resumed logs must
+# equal the base's plain -exp mpart log. Takes
+# about a minute on two CPUs; not part of ci. Usage: make log-identity
+# BASE=<rev>
 log-identity:
 	@test -n "$(BASE)" || { echo "usage: make log-identity BASE=<rev>"; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -127,5 +134,31 @@ log-identity:
 	      echo "DIFFERS: seed $$seed $$probe"; diff "$$tmp/base.txt" "$$tmp/head.txt" | head -n 6; fail=1; \
 	    fi; \
 	  done; \
+	  jprobe="-exp mpart -programs 30 -tests 10 -seed $$seed"; \
+	  rm -rf "$$tmp/j-base" "$$tmp/j-head"; \
+	  for side in base head; do \
+	    "$$tmp/scamv-$$side" $$jprobe -checkpoint "$$tmp/j-$$side" >/dev/null; \
+	  done; \
+	  "$$tmp/scamv-base" $$jprobe -log "$$tmp/plain.jsonl" >/dev/null; \
+	  same=1; \
+	  for run in base:base head:head head:base; do \
+	    bin=$${run%%:*}; dir=$${run#*:}; \
+	    "$$tmp/scamv-$$bin" $$jprobe -resume "$$tmp/j-$$dir" -log "$$tmp/resumed.jsonl" >"$$tmp/resumed.out"; \
+	    if ! awk '$$1 == "proggen" && $$4 != 0 { n++ } END { exit n > 0 }' "$$tmp/resumed.out"; then \
+	      echo "DIFFERS: seed $$seed journal probe, $$bin binary resuming $$dir's journal generated programs"; same=0; fail=1; \
+	    fi; \
+	    for f in plain resumed; do \
+	      sed -E 's/"(gen_us|exe_us)":[^,}]*,?//g' "$$tmp/$$f.jsonl" | sort >"$$tmp/$$f.txt"; \
+	    done; \
+	    rm "$$tmp/resumed.jsonl"; \
+	    if ! cmp -s "$$tmp/plain.txt" "$$tmp/resumed.txt"; then \
+	      echo "DIFFERS: seed $$seed journal probe, $$bin binary resuming $$dir's journal"; \
+	      diff "$$tmp/plain.txt" "$$tmp/resumed.txt" | head -n 6; same=0; fail=1; \
+	    fi; \
+	  done; \
+	  rm "$$tmp/plain.jsonl"; \
+	  if [ $$same = 1 ]; then \
+	    echo "same: seed $$seed journal probe $$jprobe, 3 resumes, $$(wc -l <"$$tmp/plain.txt") records"; \
+	  fi; \
 	done; \
 	exit $$fail

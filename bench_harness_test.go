@@ -139,20 +139,28 @@ func benchObservatory(t *testing.T) ([]Experiment, func([]*Result)) {
 	}
 }
 
-// benchJournaled arms the write-ahead journal at its default checkpoint
-// cadence, fsync per program completion included: what a long-lived
-// `scamv -checkpoint` campaign pays.
+// benchJournaled arms the write-ahead journal, one fsync per program
+// completion: what a long-lived `scamv -checkpoint` campaign pays. The
+// journal it leaves must restore every program.
 func benchJournaled(t *testing.T) ([]Experiment, func([]*Result)) {
 	e := benchCampaign()
-	j, err := journal.Open(t.TempDir(), e.Name, journal.Options{})
+	dir := t.TempDir()
+	j, err := journal.Open(dir, e.Name, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Journal = j
-	return []Experiment{e}, func(res []*Result) {
-		j.Close()
-		if res[0].Checkpoints == 0 {
-			t.Error("journaled run wrote zero checkpoints")
+	return []Experiment{e}, func([]*Result) {
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := journal.Open(dir, e.Name, journal.Options{Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if n := len(r.Restored()); n != e.Programs {
+			t.Errorf("journaled run's journal restores %d programs, want %d", n, e.Programs)
 		}
 	}
 }
@@ -337,11 +345,12 @@ func compareRounds(name string, num, den []float64, target float64) benchCompari
 //
 // (or `make bench-harness`). Gates: observing or journaling changes no
 // count; every matrix row equals its single-platform campaign; the trace is
-// non-empty, /metrics was scraped and a checkpoint was written; the median
-// wall-clock ratio of trace/nil, observatory/trace and journaled/nil stays
-// within 1.25x; and the matrix's median wall-clock ratio to the sequential
-// row is under 0.5x, since generation, which dominates, runs once instead of
-// three times. The CPU-time ratios are recorded, not gated.
+// non-empty, /metrics was scraped and the journal restores every program;
+// the median wall-clock ratio of trace/nil, observatory/trace and
+// journaled/nil stays within 1.25x; and the matrix's median wall-clock ratio
+// to the sequential row is under 0.5x, since generation, which dominates,
+// runs once instead of three times. The CPU-time ratios are recorded, not
+// gated.
 func TestWriteBench(t *testing.T) {
 	if os.Getenv("BENCH_HARNESS") == "" {
 		t.Skip("set BENCH_HARNESS=1 to run the bench harness")
@@ -390,7 +399,7 @@ func TestWriteBench(t *testing.T) {
 		Comparisons []benchComparison `json:"comparisons"`
 	}{
 		Date:       time.Now().UTC().Format("2006-01-02"),
-		Campaign:   "MLine-support, TemplateA^3 (8 paths), refined MCt/SpecAll, 8 programs x 40 tests, seed 2021, parallel 4; observatory = trace + debug server + 50ms /metrics scraper + 50ms SSE client + flight recorder; journaled = fsync-per-program WAL + periodic checkpoints; matrix = a53/a72/m0 in one campaign, sequential = the three as single-platform campaigns",
+		Campaign:   "MLine-support, TemplateA^3 (8 paths), refined MCt/SpecAll, 8 programs x 40 tests, seed 2021, parallel 4; observatory = trace + debug server + 50ms /metrics scraper + 50ms SSE client + flight recorder; journaled = fsync-per-program WAL; matrix = a53/a72/m0 in one campaign, sequential = the three as single-platform campaigns",
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),

@@ -19,13 +19,13 @@
 //	scamv -chaos heavy -fail-policy degrade -retries 2 -exec-timeout 100ms
 //	                               # fault-injected campaign that degrades
 //	                               # instead of aborting
-//	scamv -checkpoint state/       # durable journal + periodic checkpoints:
+//	scamv -checkpoint state/       # durable journal, one fsync per program:
 //	                               # a crash or SIGKILL loses at most the
 //	                               # programs in flight
 //	scamv -resume state/           # reload the journals, skip completed
 //	                               # programs, reproduce the rest exactly
 //
-// A first SIGINT/SIGTERM drains in-flight programs, checkpoints, prints the
+// A first SIGINT/SIGTERM drains and journals in-flight programs, prints the
 // partial tables, and exits 3 (resumable); a second aborts immediately with
 // exit 130.
 package main
@@ -80,9 +80,8 @@ func run() int {
 		platNames = flag.String("platforms", "", "comma-separated platform presets for the matrix (implies -matrix); see -platforms=help")
 		flightDir = flag.String("flight-dir", "", "arm the anomaly flight recorder; bundles (ring + counters + goroutine dump) land under this directory")
 		flightCPU = flag.Duration("flight-cpu", 0, "include a CPU profile slice of this duration in each flight bundle (0 = off)")
-		ckptDir   = flag.String("checkpoint", "", "write a durable campaign journal with periodic atomic checkpoints under this directory (one subdirectory per campaign)")
-		resumeDir = flag.String("resume", "", "resume campaigns from this checkpoint directory, skipping journaled programs (implies -checkpoint DIR)")
-		ckptEvery = flag.Int("checkpoint-every", 0, "programs between automatic checkpoints (0 = default of 8, negative = final checkpoint only)")
+		ckptDir   = flag.String("checkpoint", "", "write a durable campaign journal, fsynced once per program, under this directory (one subdirectory per campaign)")
+		resumeDir = flag.String("resume", "", "resume campaigns from the journals in this directory, skipping journaled programs (implies -checkpoint DIR)")
 	)
 	flag.Parse()
 	if *programs < 0 {
@@ -212,9 +211,9 @@ func run() int {
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM closes the drain channel —
-	// every campaign finishes its in-flight programs, journals them, writes a
-	// final checkpoint, and returns a partial (resumable) Result; campaigns
-	// not yet started are skipped. A second signal aborts immediately.
+	// every campaign finishes its in-flight programs, journals them, and
+	// returns a partial (resumable) Result; campaigns not yet started are
+	// skipped. A second signal aborts immediately.
 	drain := scamv.ArmShutdown(
 		func() {
 			fmt.Fprintln(os.Stderr, "scamv: interrupt: draining in-flight programs (interrupt again to abort)")
@@ -253,7 +252,7 @@ func run() int {
 	// experiment name, opened fresh or resumed, and closed after the run.
 	runArmed := func(e scamv.Experiment) (*scamv.Result, error) {
 		if *ckptDir != "" {
-			j, err := journal.Open(*ckptDir, e.Name, journal.Options{Resume: resuming, Every: *ckptEvery})
+			j, err := journal.Open(*ckptDir, e.Name, journal.Options{Resume: resuming})
 			if err != nil {
 				return nil, err
 			}
@@ -369,7 +368,7 @@ func run() int {
 	}
 	if interrupted {
 		if *ckptDir != "" {
-			fmt.Fprintf(os.Stderr, "scamv: interrupted; campaign state checkpointed, resumable with -resume %s\n", *ckptDir)
+			fmt.Fprintf(os.Stderr, "scamv: interrupted; campaign state journaled, resumable with -resume %s\n", *ckptDir)
 		} else {
 			fmt.Fprintln(os.Stderr, "scamv: interrupted; partial results above (run with -checkpoint DIR to make interrupts resumable)")
 		}

@@ -3,7 +3,6 @@ package faultinject
 import (
 	"fmt"
 	"io"
-	"os"
 	"sync/atomic"
 	"syscall"
 
@@ -12,15 +11,13 @@ import (
 
 // This file is the filesystem half of the chaos harness: a journal.FS
 // wrapper that injects the storage failure modes a long campaign meets in
-// the wild — a full disk (ENOSPC), a short write, a failing fsync, and the
-// classic ext4 torn-rename hazard (rename published before the data it
-// points at reached the platter). The journal and logdb recovery paths are
-// specified against exactly these faults; FaultFS is what turns the
-// specification into teeth tests.
+// the wild — a full disk (ENOSPC), a short write and a failing fsync. The
+// journal and logdb recovery paths are specified against exactly these
+// faults; FaultFS is what turns the specification into teeth tests.
 
 // FSPlan schedules filesystem faults by 1-based global operation number
 // (0 = never). Counting is per-FaultFS and deterministic for a serial
-// caller, which the journal is: appends and checkpoints run under one lock.
+// caller, which the journal is: appends run under one lock.
 type FSPlan struct {
 	// FailWriteAt fails the Nth file write with ENOSPC before any bytes land.
 	FailWriteAt uint64
@@ -30,10 +27,6 @@ type FSPlan struct {
 	// FailSyncAt fails the Nth fsync with EIO: the data may or may not be
 	// durable, the caller must assume not.
 	FailSyncAt uint64
-	// TornRenameAt truncates the rename source to half its size before the
-	// Nth rename succeeds: the crash window where a filesystem without
-	// fsync-before-rename ordering publishes a name pointing at torn data.
-	TornRenameAt uint64
 }
 
 // FaultFS wraps an inner journal.FS (nil = the real filesystem) with an
@@ -43,9 +36,8 @@ type FaultFS struct {
 	inner journal.FS
 	plan  FSPlan
 
-	writes  atomic.Uint64
-	syncs   atomic.Uint64
-	renames atomic.Uint64
+	writes atomic.Uint64
+	syncs  atomic.Uint64
 }
 
 // NewFaultFS builds the fault-injecting filesystem.
@@ -76,21 +68,6 @@ func (f *FaultFS) OpenAppend(name string) (journal.File, error) {
 	}
 	return &faultFile{fs: f, inner: inner}, nil
 }
-
-// Rename implements journal.FS, injecting the torn-rename hazard.
-func (f *FaultFS) Rename(oldpath, newpath string) error {
-	if n := f.renames.Add(1); f.plan.TornRenameAt != 0 && n == f.plan.TornRenameAt {
-		if st, err := os.Stat(oldpath); err == nil {
-			if err := os.Truncate(oldpath, st.Size()/2); err != nil {
-				return fmt.Errorf("faultinject: torn rename: %w", err)
-			}
-		}
-	}
-	return f.inner.Rename(oldpath, newpath)
-}
-
-// Remove implements journal.FS.
-func (f *FaultFS) Remove(name string) error { return f.inner.Remove(name) }
 
 // Truncate implements journal.FS.
 func (f *FaultFS) Truncate(name string, size int64) error { return f.inner.Truncate(name, size) }

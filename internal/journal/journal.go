@@ -1,25 +1,17 @@
 // Package journal is the crash-safety spine of a validation campaign: a
-// write-ahead journal of per-program completions plus periodic atomic
-// checkpoint snapshots, the substrate behind scamv -checkpoint/-resume and
-// the durability contract the distributed scamv-d workers will inherit.
+// write-ahead journal of per-program completions, the substrate behind
+// scamv -checkpoint/-resume and the durability contract the distributed
+// scamv-d workers will inherit.
 //
-// The design splits durability into two artifacts per campaign directory:
-//
-//   - journal.jsonl — the source of truth. One fsynced JSON line per
-//     completed program, appended by the engines' in-order merge step, so
-//     the journal always holds a contiguous prefix [0, N) of the campaign.
-//     The file follows internal/logdb's torn-final-line contract: a crash
-//     mid-append leaves at most one JSON-invalid trailing line, which the
-//     resume loader drops (and truncates away before appending resumes).
-//
-//   - checkpoint.json — a compaction, not an authority. Every few appends
-//     the full restored+appended record set is written via the
-//     write-temp + fsync + rename + dir-fsync protocol, with the previous
-//     checkpoint rotated to checkpoint.prev.json first. A torn checkpoint
-//     (missing completeness marker, unparseable JSON) is detected and the
-//     previous one — or the journal itself — is used instead. Checkpoints
-//     exist so scamv-d supervisors can read campaign progress in one
-//     bounded read instead of replaying an unbounded journal.
+// Each campaign directory holds one artifact, journal.jsonl: a header line,
+// then one fsynced JSON line per completed program, appended by the
+// engines' in-order merge step, so the journal always holds a contiguous
+// prefix [0, N) of the campaign. A record and its newline go out in one
+// write, so a crash mid-append leaves at most one trailing line without its
+// newline; the resume loader drops that line, even when it happens to parse,
+// and truncates it away before appending resumes. Creating the journal
+// fsyncs the campaign directory and its parent, so the file's directory
+// entry is as durable as the records in it.
 //
 // Resume correctness rests on two properties the engines guarantee: results
 // merge in strict ascending program order (so the journal is a prefix, and
@@ -44,8 +36,8 @@ import (
 
 // FS is the write-side filesystem seam of a campaign journal. Production
 // code uses OSFS; internal/faultinject wraps it to inject ENOSPC, short
-// writes, fsync failures, and torn renames, which is how the recovery paths
-// get teeth tests instead of trust.
+// writes and fsync failures, which is how the recovery paths get teeth
+// tests instead of trust.
 //
 // Reads are deliberately not part of the seam: recovery reads whole files
 // through the os package, because a fault during recovery is
@@ -56,10 +48,8 @@ type FS interface {
 	Create(name string) (File, error)
 	// OpenAppend opens name for appending, creating it if absent.
 	OpenAppend(name string) (File, error)
-	Rename(oldpath, newpath string) error
-	Remove(name string) error
 	Truncate(name string, size int64) error
-	// SyncDir fsyncs a directory so completed renames survive a crash.
+	// SyncDir fsyncs a directory so a newly created entry survives a crash.
 	SyncDir(dir string) error
 }
 
@@ -85,12 +75,6 @@ func (OSFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// Rename implements FS.
-func (OSFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-
-// Remove implements FS.
-func (OSFS) Remove(name string) error { return os.Remove(name) }
-
 // Truncate implements FS.
 func (OSFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 
@@ -109,18 +93,15 @@ func (OSFS) SyncDir(dir string) error {
 	return nil
 }
 
-// Version is the journal format version stamped on the header and the
-// checkpoint envelope. Resume reads only this version: v1 records carried a
-// flat per-field program tally, v2 records carry the campaign's own program
-// result (ProgramRecord.Result).
+// Version is the journal format version stamped on the header. Resume
+// reads only this version: v1 records carried a flat per-field program
+// tally, v2 records carry the campaign's own program result
+// (ProgramRecord.Result). Directories written while checkpoint snapshots
+// existed hold v2 journals too; the checkpoint*.json files beside them are
+// ignored.
 const Version = 2
 
-const (
-	journalFile  = "journal.jsonl"
-	ckptFile     = "checkpoint.json"
-	ckptPrevFile = "checkpoint.prev.json"
-	ckptTmpFile  = "checkpoint.tmp"
-)
+const journalFile = "journal.jsonl"
 
 // ProgramRecord is one journaled program completion. Result is the
 // campaign's own per-program result, encoded as JSON: everything its merge
@@ -140,51 +121,31 @@ type header struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// checkpointEnvelope is the checkpoint.json shape. Complete is the
-// completeness marker: it is the last field emitted, so a checkpoint torn by
-// a crash mid-write (on filesystems that expose renames of unsynced files,
-// or under injected torn-rename faults) decodes with Complete == false —
-// or not at all — and is rejected in favor of the previous checkpoint.
-type checkpointEnvelope struct {
-	V           int             `json:"v"`
-	Campaign    string          `json:"campaign"`
-	Fingerprint string          `json:"fingerprint"`
-	Programs    []ProgramRecord `json:"programs"`
-	Complete    bool            `json:"complete"`
-}
-
 // Options configures Open.
 type Options struct {
 	// Resume loads existing campaign state instead of truncating it. With no
 	// prior state on disk, a Resume open degrades to a fresh start, so one
 	// flag serves first runs and re-runs alike.
 	Resume bool
-	// Every is the auto-checkpoint period in appended programs (0 = the
-	// default of 8; negative = only explicit Checkpoint calls).
-	Every int
 	// FS overrides the filesystem (nil = OSFS). The fault-injection seam.
 	FS FS
 }
 
-// Campaign is one campaign's open journal. Append/Checkpoint/Close are safe
-// for concurrent use, though the engines call Append from the single
-// in-order merge goroutine. Write errors are sticky, like logdb's: after a
-// failed append or checkpoint every subsequent mutation returns the first
-// error, so a half-written line is never spliced.
+// Campaign is one campaign's open journal. Append/Close are safe for
+// concurrent use, though the engines call Append from the single in-order
+// merge goroutine. Write errors are sticky, like logdb's: after a failed
+// append every subsequent mutation returns the first error, so a
+// half-written line is never spliced.
 type Campaign struct {
-	dir   string
-	fs    FS
-	every int
+	dir string
+	fs  FS
 
 	mu       sync.Mutex
 	f        File
 	hdr      header
 	begun    bool
 	restored []ProgramRecord
-	all      []ProgramRecord // restored + appended, checkpoint material
-	next     int             // next expected program index
-	sinceCk  int
-	ckpts    int
+	next     int // next expected program index
 	werr     error
 }
 
@@ -208,132 +169,91 @@ func Sanitize(name string) string {
 
 // Open prepares the journal for one campaign under dir (the directory given
 // to -checkpoint/-resume; each campaign gets the subdirectory
-// dir/Sanitize(name)). With Options.Resume, existing state is loaded:
-// the newest intact checkpoint and the journal are reconciled, a torn
-// trailing journal line is truncated away, and Restored returns the
-// recovered prefix once Begin has validated the fingerprint.
+// dir/Sanitize(name)). Without Options.Resume, or with no journal on disk
+// to resume, it starts an empty journal, replacing any earlier one. With
+// Options.Resume and a journal on disk, a torn trailing line is truncated
+// away and Restored returns the recovered prefix once Begin has validated
+// the fingerprint.
 func Open(dir, name string, opts Options) (*Campaign, error) {
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = OSFS{}
 	}
-	every := opts.Every
-	if every == 0 {
-		every = 8
-	}
 	cdir := filepath.Join(dir, Sanitize(name))
 	if err := fsys.MkdirAll(cdir); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	c := &Campaign{dir: cdir, fs: fsys, every: every}
-	if !opts.Resume {
-		// Fresh start: drop stale state from any earlier run of this
-		// campaign so a later -resume cannot mix runs.
-		for _, stale := range []string{ckptFile, ckptPrevFile, ckptTmpFile} {
-			if err := fsys.Remove(filepath.Join(cdir, stale)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return nil, fmt.Errorf("journal: %w", err)
-			}
-		}
-		f, err := fsys.Create(filepath.Join(cdir, journalFile))
+	c := &Campaign{dir: cdir, fs: fsys}
+	if opts.Resume {
+		resumed, err := c.recover()
 		if err != nil {
-			return nil, fmt.Errorf("journal: %w", err)
+			return nil, err
 		}
-		c.f = f
-		return c, nil
+		if resumed {
+			return c, nil
+		}
 	}
-	if err := c.recover(); err != nil {
+	if err := c.create(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// recover loads resume state: journal first (source of truth), checkpoint as
-// the bounded-read fallback, longest intact prefix wins.
-func (c *Campaign) recover() error {
-	jPath := filepath.Join(c.dir, journalFile)
-	jHdr, jRecs, validLen, jErr := loadJournal(jPath)
-	if jErr != nil {
-		return jErr
-	}
-	hdr := jHdr
-	ck, err := loadCheckpoint(c.dir)
-	if err != nil {
-		return err
-	}
-	if hdr == nil && ck != nil {
-		hdr = &header{V: ck.V, Kind: "header", Campaign: ck.Campaign, Fingerprint: ck.Fingerprint}
-	}
-	if hdr == nil {
-		// No prior state at all: degrade to a fresh start.
-		f, err := c.fs.Create(jPath)
-		if err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		c.f = f
-		return nil
-	}
-	restored := jRecs
-	if ck != nil {
-		if ck.Fingerprint != hdr.Fingerprint {
-			return fmt.Errorf("journal: checkpoint fingerprint does not match journal header (delete %s to discard)", c.dir)
-		}
-		if len(ck.Programs) > len(restored) {
-			// The checkpoint outlived the journal (journal deleted or torn
-			// beyond its coverage): adopt the checkpoint's longer prefix.
-			restored = ck.Programs
-		}
-	}
-	for i := range restored {
-		if restored[i].Prog != i {
-			return fmt.Errorf("journal: %s: non-contiguous program records (record %d has prog %d)", c.dir, i, restored[i].Prog)
-		}
-	}
-	c.hdr = *hdr
-	c.restored = restored
-	c.all = append(c.all, restored...)
-	c.next = len(restored)
-	// Re-open the journal for appending. When the on-disk journal does not
-	// already equal the restored prefix (torn tail, missing header, or a
-	// checkpoint ahead of it), rewrite it atomically first so appended
-	// records always extend a clean prefix.
-	if jHdr != nil && len(restored) == len(jRecs) {
-		if st, err := os.Stat(jPath); err == nil && st.Size() > validLen {
-			if err := c.fs.Truncate(jPath, validLen); err != nil {
-				return fmt.Errorf("journal: truncate torn tail: %w", err)
-			}
-		}
-	} else {
-		var buf bytes.Buffer
-		hb, err := json.Marshal(c.hdr)
-		if err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
-		buf.Write(hb)
-		buf.WriteByte('\n')
-		for i := range restored {
-			rb, err := json.Marshal(&restored[i])
-			if err != nil {
-				return fmt.Errorf("journal: %w", err)
-			}
-			buf.Write(rb)
-			buf.WriteByte('\n')
-		}
-		if err := c.atomicWrite(journalFile, buf.Bytes()); err != nil {
-			return err
-		}
-	}
-	f, err := c.fs.OpenAppend(jPath)
+// create starts an empty journal, truncating any earlier one, and fsyncs
+// the campaign directory and its parent: fsyncing the file alone does not
+// make its directory entry, or a just-made campaign directory, survive a
+// crash.
+func (c *Campaign) create() error {
+	f, err := c.fs.Create(filepath.Join(c.dir, journalFile))
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
+	}
+	for _, dir := range []string{c.dir, filepath.Dir(c.dir)} {
+		if err := c.fs.SyncDir(dir); err != nil {
+			f.Close()
+			return fmt.Errorf("journal: sync dir: %w", err)
+		}
 	}
 	c.f = f
 	return nil
 }
 
+// recover loads the journal for resume, truncates a torn tail and reopens
+// the file for appending. It reports false, with no error, when there is no
+// journal header to resume from.
+func (c *Campaign) recover() (bool, error) {
+	jPath := filepath.Join(c.dir, journalFile)
+	hdr, recs, validLen, err := loadJournal(jPath)
+	if err != nil || hdr == nil {
+		return false, err
+	}
+	for i := range recs {
+		if recs[i].Prog != i {
+			return false, fmt.Errorf("journal: %s: non-contiguous program records (record %d has prog %d)", c.dir, i, recs[i].Prog)
+		}
+	}
+	c.hdr = *hdr
+	c.restored = recs
+	c.next = len(recs)
+	if st, err := os.Stat(jPath); err == nil && st.Size() > validLen {
+		if err := c.fs.Truncate(jPath, validLen); err != nil {
+			return false, fmt.Errorf("journal: truncate torn tail: %w", err)
+		}
+	}
+	f, err := c.fs.OpenAppend(jPath)
+	if err != nil {
+		return false, fmt.Errorf("journal: %w", err)
+	}
+	c.f = f
+	return true, nil
+}
+
 // loadJournal reads the journal tolerantly: header line, then program
-// records. The torn-final-line contract of logdb applies — a JSON-invalid
-// trailing chunk is dropped (validLen excludes it so the caller can truncate
-// it away); an invalid line before the end is hard corruption.
+// records. A torn final line is dropped (validLen excludes it so the caller
+// can truncate it away): one that is not valid JSON, or one that lacks its
+// newline, which Append writes in the same write as the record, so such a
+// record was never acknowledged. An invalid line before the end is hard
+// corruption.
 func loadJournal(path string) (hdr *header, recs []ProgramRecord, validLen int64, err error) {
 	data, rerr := os.ReadFile(path)
 	if rerr != nil {
@@ -361,7 +281,7 @@ func loadJournal(path string) (hdr *header, recs []ProgramRecord, validLen int64
 			off += lineLen
 			continue
 		}
-		if !json.Valid(line) {
+		if !terminated || !json.Valid(line) {
 			if len(data) == 0 {
 				// Torn final line: a crash mid-append. Drop it.
 				return hdr, recs, off, nil
@@ -387,29 +307,6 @@ func loadJournal(path string) (hdr *header, recs []ProgramRecord, validLen int64
 		off += lineLen
 	}
 	return hdr, recs, off, nil
-}
-
-// loadCheckpoint returns the newest intact checkpoint: checkpoint.json if it
-// parses and carries the completeness marker, else checkpoint.prev.json,
-// else nil. An intact checkpoint of another format version is an error, not
-// a torn one: falling back past it would resume from an older snapshot.
-func loadCheckpoint(dir string) (*checkpointEnvelope, error) {
-	for _, name := range []string{ckptFile, ckptPrevFile} {
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		var env checkpointEnvelope
-		if err := json.Unmarshal(data, &env); err != nil || !env.Complete {
-			continue
-		}
-		if env.V != Version {
-			return nil, fmt.Errorf("journal: %s: format v%d, this build reads only v%d (rerun the campaign from scratch)", path, env.V, Version)
-		}
-		return &env, nil
-	}
-	return nil, nil
 }
 
 // Begin stamps (fresh) or validates (resume) the campaign fingerprint — a
@@ -459,13 +356,6 @@ func (c *Campaign) Restored() []json.RawMessage {
 // Dir returns the campaign's journal directory.
 func (c *Campaign) Dir() string { return c.dir }
 
-// Checkpoints returns how many checkpoint snapshots this Campaign wrote.
-func (c *Campaign) Checkpoints() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ckpts
-}
-
 // writeDurable appends raw bytes to the journal and fsyncs them. Caller
 // holds c.mu.
 func (c *Campaign) writeDurable(b []byte) error {
@@ -487,123 +377,35 @@ func (c *Campaign) writeDurable(b []byte) error {
 // arrive in ascending order starting at the resume point — the engines'
 // in-order merge guarantees it, and Append enforces it, because a gap would
 // break the prefix property resume depends on. When it returns nil the
-// record is fsynced. checkpointed reports that this append also wrote an
-// automatic checkpoint (every Options.Every appends).
-func (c *Campaign) Append(prog int, result any) (checkpointed bool, err error) {
+// record is fsynced.
+func (c *Campaign) Append(prog int, result any) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.begun {
-		return false, errors.New("journal: Append before Begin")
+		return errors.New("journal: Append before Begin")
 	}
 	if c.werr != nil {
-		return false, c.werr
+		return c.werr
 	}
 	if prog != c.next {
-		return false, fmt.Errorf("journal: out-of-order append: got program %d, want %d", prog, c.next)
+		return fmt.Errorf("journal: out-of-order append: got program %d, want %d", prog, c.next)
 	}
 	raw, err := json.Marshal(result)
 	if err != nil {
-		return false, fmt.Errorf("journal: %w", err)
+		return fmt.Errorf("journal: %w", err)
 	}
-	rec := ProgramRecord{Kind: "program", Prog: prog, Result: raw}
-	b, err := json.Marshal(&rec)
+	b, err := json.Marshal(&ProgramRecord{Kind: "program", Prog: prog, Result: raw})
 	if err != nil {
-		return false, fmt.Errorf("journal: %w", err)
+		return fmt.Errorf("journal: %w", err)
 	}
 	if err := c.writeDurable(append(b, '\n')); err != nil {
-		return false, err
+		return err
 	}
-	c.all = append(c.all, rec)
 	c.next++
-	c.sinceCk++
-	if c.every > 0 && c.sinceCk >= c.every {
-		if err := c.checkpointLocked(); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	return false, nil
-}
-
-// Checkpoint writes an atomic snapshot of everything journaled so far:
-// temp file + fsync + rotate checkpoint.json to checkpoint.prev.json +
-// rename + directory fsync. Crash-safe at every step — a kill between any
-// two operations leaves either the old checkpoint, the old pair, or the new
-// pair, all of which recovery handles.
-func (c *Campaign) Checkpoint() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.begun {
-		return errors.New("journal: Checkpoint before Begin")
-	}
-	return c.checkpointLocked()
-}
-
-func (c *Campaign) checkpointLocked() error {
-	if c.werr != nil {
-		return c.werr
-	}
-	env := checkpointEnvelope{
-		V:           Version,
-		Campaign:    c.hdr.Campaign,
-		Fingerprint: c.hdr.Fingerprint,
-		Programs:    c.all,
-		Complete:    true,
-	}
-	b, err := json.Marshal(&env)
-	if err != nil {
-		c.werr = fmt.Errorf("journal: %w", err)
-		return c.werr
-	}
-	// Rotate the previous checkpoint out of the way first: if the new
-	// write tears, recovery still finds an intact (if older) snapshot.
-	primary := filepath.Join(c.dir, ckptFile)
-	if _, err := os.Stat(primary); err == nil {
-		if err := c.fs.Rename(primary, filepath.Join(c.dir, ckptPrevFile)); err != nil {
-			c.werr = fmt.Errorf("journal: rotate checkpoint: %w", err)
-			return c.werr
-		}
-	}
-	if err := c.atomicWrite(ckptFile, b); err != nil {
-		c.werr = err
-		return c.werr
-	}
-	c.sinceCk = 0
-	c.ckpts++
 	return nil
 }
 
-// atomicWrite writes name under the campaign directory via the injected FS
-// with the temp + fsync + rename + dir-fsync protocol.
-func (c *Campaign) atomicWrite(name string, data []byte) error {
-	tmpPath := filepath.Join(c.dir, ckptTmpFile)
-	tmp, err := c.fs.Create(tmpPath)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := c.fs.Rename(tmpPath, filepath.Join(c.dir, name)); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := c.fs.SyncDir(c.dir); err != nil {
-		return fmt.Errorf("journal: sync dir: %w", err)
-	}
-	return nil
-}
-
-// Close syncs and closes the journal file. It does not write a final
-// checkpoint — the campaign driver does that explicitly so the "final
-// checkpoint on drain/finish" step is visible in one place.
+// Close syncs and closes the journal file.
 func (c *Campaign) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

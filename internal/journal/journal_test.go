@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Campaign {
 func appendN(t *testing.T, c *Campaign, from, to int) {
 	t.Helper()
 	for p := from; p < to; p++ {
-		if _, err := c.Append(p, rec(p)); err != nil {
+		if err := c.Append(p, rec(p)); err != nil {
 			t.Fatalf("append %d: %v", p, err)
 		}
 	}
@@ -75,7 +76,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		}
 	}
 	// Appending must continue from the restored prefix.
-	if _, err := r.Append(4, rec(4)); err == nil {
+	if err := r.Append(4, rec(4)); err == nil {
 		t.Fatal("out-of-order append accepted")
 	}
 	appendN(t, r, 5, 7)
@@ -91,7 +92,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir, Options{Every: -1})
+	c := mustOpen(t, dir, Options{})
 	if err := c.Begin("camp/one", "fp"); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
-	r := mustOpen(t, dir, Options{Resume: true, Every: -1})
+	r := mustOpen(t, dir, Options{Resume: true})
 	if err := r.Begin("camp/one", "fp"); err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +123,51 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	r2 := mustOpen(t, dir, Options{Resume: true})
 	if n := len(r2.Restored()); n != 4 {
 		t.Fatalf("after repair restored %d, want 4", n)
+	}
+	r2.Close()
+}
+
+// TestJournalUnterminatedRecordDropped: Append writes a record and its
+// newline in one write, so a final line without its newline was never
+// acknowledged, even when it parses as JSON. Resume drops it and truncates
+// it away; otherwise the next append would splice onto it and the following
+// resume would find a corrupt line mid-file.
+func TestJournalUnterminatedRecordDropped(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{})
+	if err := c.Begin("camp/one", "fp"); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, c, 0, 3)
+	c.Close()
+
+	jPath := filepath.Join(dir, Sanitize("camp/one"), "journal.jsonl")
+	st, err := os.Stat(jPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(jPath, st.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	r := mustOpen(t, dir, Options{Resume: true})
+	if err := r.Begin("camp/one", "fp"); err != nil {
+		t.Fatal(err)
+	}
+	n := len(r.Restored())
+	if n != 2 {
+		t.Fatalf("restored %d, want 2 (unterminated record dropped)", n)
+	}
+	appendN(t, r, n, 5)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open(dir, "camp/one", Options{Resume: true})
+	if err != nil {
+		t.Fatalf("resume after appending past the dropped record: %v", err)
+	}
+	if n := len(r2.Restored()); n != 5 {
+		t.Fatalf("restored %d, want 5", n)
 	}
 	r2.Close()
 }
@@ -144,7 +190,7 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 
 func TestJournalMidFileCorruptionIsHardError(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir, Options{Every: -1})
+	c := mustOpen(t, dir, Options{})
 	if err := c.Begin("camp/one", "fp"); err != nil {
 		t.Fatal(err)
 	}
@@ -161,92 +207,14 @@ func TestJournalMidFileCorruptionIsHardError(t *testing.T) {
 	if err := os.WriteFile(jPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, "camp/one", Options{Resume: true, Every: -1}); err == nil {
+	if _, err := Open(dir, "camp/one", Options{Resume: true}); err == nil {
 		t.Fatal("mid-file corruption accepted silently")
 	}
 }
 
-func TestCheckpointRotationAndFallback(t *testing.T) {
-	dir := t.TempDir()
-	c := mustOpen(t, dir, Options{Every: 2})
-	if err := c.Begin("camp/one", "fp"); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, c, 0, 6) // checkpoints at 2, 4, 6
-	if got := c.Checkpoints(); got != 3 {
-		t.Fatalf("checkpoints = %d, want 3", got)
-	}
-	c.Close()
-	cdir := filepath.Join(dir, Sanitize("camp/one"))
-	for _, name := range []string{"checkpoint.json", "checkpoint.prev.json"} {
-		if _, err := os.Stat(filepath.Join(cdir, name)); err != nil {
-			t.Fatalf("%s missing after rotation: %v", name, err)
-		}
-	}
-
-	// Tear the primary checkpoint (truncate to half) and delete the journal:
-	// recovery must detect the tear and fall back to checkpoint.prev.json.
-	primary := filepath.Join(cdir, "checkpoint.json")
-	data, err := os.ReadFile(primary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(primary, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(cdir, "journal.jsonl")); err != nil {
-		t.Fatal(err)
-	}
-	r := mustOpen(t, dir, Options{Resume: true})
-	if err := r.Begin("camp/one", "fp"); err != nil {
-		t.Fatal(err)
-	}
-	// prev covers programs [0,4): the torn primary (6) must not be trusted.
-	if n := len(r.Restored()); n != 4 {
-		t.Fatalf("restored %d from fallback, want 4 (prev checkpoint)", n)
-	}
-	// And the journal was rewritten from the checkpoint, so a further resume
-	// sees the same prefix even without checkpoints.
-	r.Close()
-	os.Remove(filepath.Join(cdir, "checkpoint.json"))
-	os.Remove(filepath.Join(cdir, "checkpoint.prev.json"))
-	r2 := mustOpen(t, dir, Options{Resume: true})
-	if n := len(r2.Restored()); n != 4 {
-		t.Fatalf("rewritten journal restored %d, want 4", n)
-	}
-	r2.Close()
-}
-
-func TestCheckpointAheadOfJournalWins(t *testing.T) {
-	dir := t.TempDir()
-	c := mustOpen(t, dir, Options{Every: 1})
-	if err := c.Begin("camp/one", "fp"); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, c, 0, 3)
-	c.Close()
-	// Truncate the journal down to the header + 1 record; the checkpoint
-	// still covers 3. Recovery takes the longer prefix.
-	cdir := filepath.Join(dir, Sanitize("camp/one"))
-	jPath := filepath.Join(cdir, "journal.jsonl")
-	data, err := os.ReadFile(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	if err := os.WriteFile(jPath, []byte(lines[0]+lines[1]), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r := mustOpen(t, dir, Options{Resume: true})
-	if n := len(r.Restored()); n != 3 {
-		t.Fatalf("restored %d, want 3 (checkpoint ahead of journal)", n)
-	}
-	r.Close()
-}
-
 func TestFreshOpenDiscardsStaleState(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir, Options{Every: 1})
+	c := mustOpen(t, dir, Options{})
 	if err := c.Begin("camp/one", "fp"); err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +239,78 @@ func TestFreshOpenDiscardsStaleState(t *testing.T) {
 	r.Close()
 }
 
+// syncRecorder is an OSFS that records the directories SyncDir was called on.
+type syncRecorder struct {
+	OSFS
+	dirs []string
+}
+
+func (r *syncRecorder) SyncDir(dir string) error {
+	r.dirs = append(r.dirs, dir)
+	return r.OSFS.SyncDir(dir)
+}
+
+// TestCreateSyncsDirectories: creating a journal fsyncs the campaign
+// directory and its parent, so the journal's directory entry survives a
+// crash as its fsynced records do. The campaign directory then holds the
+// journal alone.
+func TestCreateSyncsDirectories(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		dir := t.TempDir()
+		rfs := &syncRecorder{}
+		c := mustOpen(t, dir, Options{Resume: resume, FS: rfs})
+		if err := c.Begin("camp/one", "fp"); err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, c, 0, 2)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cdir := filepath.Join(dir, Sanitize("camp/one"))
+		if want := []string{cdir, dir}; !reflect.DeepEqual(rfs.dirs, want) {
+			t.Errorf("resume=%v: SyncDir calls %q, want %q", resume, rfs.dirs, want)
+		}
+		ents, err := os.ReadDir(cdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 1 || ents[0].Name() != "journal.jsonl" {
+			t.Errorf("resume=%v: campaign directory holds %v, want journal.jsonl alone", resume, ents)
+		}
+	}
+}
+
+// TestResumeIgnoresLeftoverCheckpoints: a v2 directory written while
+// checkpoint snapshots existed resumes from its journal alone; a
+// checkpoint.json beside it, even one claiming more programs, is ignored.
+func TestResumeIgnoresLeftoverCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{})
+	if err := c.Begin("camp/one", "fp"); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, c, 0, 2)
+	c.Close()
+	cdir := filepath.Join(dir, Sanitize("camp/one"))
+	leftover := `{"v":2,"campaign":"camp/one","fingerprint":"fp","programs":[` +
+		`{"kind":"program","prog":0,"result":{}},{"kind":"program","prog":1,"result":{}},` +
+		`{"kind":"program","prog":2,"result":{}}],"complete":true}`
+	for _, name := range []string{"checkpoint.json", "checkpoint.prev.json"} {
+		if err := os.WriteFile(filepath.Join(cdir, name), []byte(leftover), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := mustOpen(t, dir, Options{Resume: true})
+	if err := r.Begin("camp/one", "fp"); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.Restored()); n != 2 {
+		t.Fatalf("restored %d, want the journal's 2", n)
+	}
+	appendN(t, r, 2, 3)
+	r.Close()
+}
+
 func TestResumeWithNoStateIsFresh(t *testing.T) {
 	dir := t.TempDir()
 	r := mustOpen(t, dir, Options{Resume: true})
@@ -289,37 +329,32 @@ func TestResumeWithNoStateIsFresh(t *testing.T) {
 	r2.Close()
 }
 
-// TestResumeRefusesV1: a v1 journal or checkpoint (flat per-field program
-// records) is refused on resume with an error naming its version, not
-// decoded into the v2 record shape or skipped as torn.
+// TestResumeRefusesV1: a v1 journal (flat per-field program records) is
+// refused on resume with an error naming its version, not decoded into the
+// v2 record shape or skipped as torn.
 func TestResumeRefusesV1(t *testing.T) {
 	const (
 		hdr    = `{"v":1,"kind":"header","campaign":"camp/one","fingerprint":"fp"}`
 		record = `{"kind":"program","prog":0,"experiments":5,"first_ce_test":-1}`
 	)
-	for _, tc := range []struct{ file, content string }{
-		{"journal.jsonl", hdr + "\n" + record + "\n"},
-		{"checkpoint.json", `{"v":1,"campaign":"camp/one","fingerprint":"fp","programs":[` + record + `],"complete":true}`},
-	} {
-		t.Run(tc.file, func(t *testing.T) {
-			dir := t.TempDir()
-			cdir := filepath.Join(dir, Sanitize("camp/one"))
-			if err := os.MkdirAll(cdir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(cdir, tc.file), []byte(tc.content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			c, err := Open(dir, "camp/one", Options{Resume: true})
-			if err == nil {
-				c.Close()
-				t.Fatal("v1 state accepted on resume")
-			}
-			if !strings.Contains(err.Error(), "format v1") {
-				t.Fatalf("error does not name the version: %v", err)
-			}
-		})
-	}
+	t.Run("journal.jsonl", func(t *testing.T) {
+		dir := t.TempDir()
+		cdir := filepath.Join(dir, Sanitize("camp/one"))
+		if err := os.MkdirAll(cdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cdir, "journal.jsonl"), []byte(hdr+"\n"+record+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir, "camp/one", Options{Resume: true})
+		if err == nil {
+			c.Close()
+			t.Fatal("v1 state accepted on resume")
+		}
+		if !strings.Contains(err.Error(), "format v1") {
+			t.Fatalf("error does not name the version: %v", err)
+		}
+	})
 }
 
 func TestSanitize(t *testing.T) {

@@ -56,7 +56,6 @@ var scalarFamilies = []family[Counters]{
 	{"scamv_quarantines_total", "counter", "Programs quarantined after consecutive failures.", func(c *Counters) int64 { return c.Quarantines }},
 	{"scamv_breaker_trips_total", "counter", "Circuit-breaker transitions into the open state.", func(c *Counters) int64 { return c.BreakerTrips }},
 	{"scamv_resumed_programs_total", "counter", "Programs restored from campaign journals instead of re-run.", func(c *Counters) int64 { return c.ResumedPrograms }},
-	{"scamv_checkpoints_total", "counter", "Durable campaign checkpoints written.", func(c *Counters) int64 { return c.Checkpoints }},
 }
 
 var platformFamilies = []family[PlatformCount]{

@@ -19,7 +19,7 @@ import (
 func RenderProgress(cur, prev Counters, dt time.Duration) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "progs %d/%d", cur.Programs, cur.TotalPrograms)
-	// Crash-safety counters appear only for resumed/checkpointed campaigns.
+	// The crash-safety counter appears only for resumed campaigns.
 	if cur.ResumedPrograms > 0 {
 		fmt.Fprintf(&sb, " (%d resumed)", cur.ResumedPrograms)
 	}
@@ -49,9 +49,6 @@ func RenderProgress(cur, prev Counters, dt time.Duration) string {
 	}
 	if cur.BreakerTrips > 0 {
 		fmt.Fprintf(&sb, "  breaker-trips %d", cur.BreakerTrips)
-	}
-	if cur.Checkpoints > 0 {
-		fmt.Fprintf(&sb, "  ckpts %d", cur.Checkpoints)
 	}
 
 	// Busy share over the interval: how the pipeline's working time divided

@@ -22,7 +22,7 @@ import (
 
 // surfaceTracer is a tracer with every optional section populated: stages,
 // platforms, the live pipeline, an attached flight recorder writing bundles
-// under dir, and non-zero resumed and checkpoint counts.
+// under dir, and a non-zero resumed count.
 func surfaceTracer(t *testing.T, dir string) *Tracer {
 	t.Helper()
 	tr := New(nil)
@@ -37,7 +37,6 @@ func surfaceTracer(t *testing.T, dir string) *Tracer {
 	tr.Skip(1, 1, "retries exhausted")
 	tr.Quarantine(2, "failures")
 	tr.Breaker("sim", "closed", "half-open")
-	tr.Checkpoint(2)
 	tr.ProgramDone()
 	tr.SetPipelineSource(func() []PipelineStage {
 		return []PipelineStage{{Name: "testgen", Workers: 2, In: 1, Out: 1}}
@@ -81,7 +80,7 @@ func keyPaths(v any) []string {
 // wireKeys are the /debug/scamv and SSE document's key paths with every
 // section present.
 var wireKeys = []string{
-	"ack_reads", "blast_hits", "blast_misses", "breaker_trips", "checkpoints",
+	"ack_reads", "blast_hits", "blast_misses", "breaker_trips",
 	"conflicts", "counterexamples", "decisions", "elapsed_us", "experiments",
 	"flight", "flight.captures", "flight.dropped", "flight.events",
 	"flight.max_query_us", "flight.max_stall_us", "flight.ring_size",

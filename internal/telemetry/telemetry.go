@@ -51,8 +51,9 @@ import (
 // campaign, carrying the platform name in Name alongside the verdict fields.
 // Version 5 adds the crash-safety kinds "resume" (a campaign restored a
 // journaled prefix: Name, Programs = restored count) and "checkpoint" (a
-// durable checkpoint was written: Programs = programs covered). Readers
-// reject records from a newer schema.
+// since-deleted checkpoint snapshot was written; no longer written, and
+// readers ignore it like v3 "shape"). Readers reject records from a newer
+// schema.
 const SchemaVersion = 5
 
 // Record is one JSONL trace line. One flat struct serves all kinds; fields
@@ -77,8 +78,6 @@ const SchemaVersion = 5
 //	          Name (platform), Prog, Test, Verdict, DurUS
 //	resume    a campaign restored a journaled prefix on startup: Name
 //	          (campaign), Programs (restored program count)
-//	checkpoint a durable campaign checkpoint was written: Programs
-//	          (programs covered by the checkpoint)
 type Record struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
@@ -173,9 +172,8 @@ type Tracer struct {
 	quarantines  atomic.Int64
 	breakerTrips atomic.Int64
 
-	// Crash-safety counters (schema v5).
+	// Crash-safety counter (schema v5).
 	resumedPrograms atomic.Int64
-	checkpoints     atomic.Int64
 
 	// Per-platform verdict aggregates of a matrix campaign (schema v4).
 	platMu    sync.Mutex
@@ -363,7 +361,8 @@ func (t *Tracer) stage(name string) *stageAgg {
 // that changes them, for live events and replayed traces alike. Durations
 // are taken from the record's microseconds, which is also what the
 // histograms bucket on, so a replay reproduces the live aggregates exactly.
-// Kinds it does not know (the retired v3 "shape") are ignored.
+// Kinds it does not know (the retired v3 "shape" and v5 "checkpoint") are
+// ignored.
 func (t *Tracer) observe(rec *Record) {
 	d := time.Duration(rec.DurUS) * time.Microsecond
 	switch rec.Kind {
@@ -422,8 +421,6 @@ func (t *Tracer) observe(rec *Record) {
 		// starts at N/P instead of replaying from zero.
 		t.resumedPrograms.Add(int64(rec.Programs))
 		t.programs.Add(int64(rec.Programs))
-	case "checkpoint":
-		t.checkpoints.Add(1)
 	}
 }
 
@@ -536,15 +533,6 @@ func (t *Tracer) Resume(name string, programs int) {
 	t.record(&Record{Kind: "resume", TSus: t.now(), Name: name, Programs: programs})
 }
 
-// Checkpoint records one durable campaign checkpoint covering the first
-// programs completed programs.
-func (t *Tracer) Checkpoint(programs int) {
-	if t == nil {
-		return
-	}
-	t.record(&Record{Kind: "checkpoint", TSus: t.now(), Programs: programs})
-}
-
 // ProgramDone bumps the completed-program counter behind the progress line.
 func (t *Tracer) ProgramDone() {
 	if t == nil {
@@ -605,9 +593,8 @@ type Counters struct {
 	BreakerTrips int64 `json:"breaker_trips"`
 
 	// ResumedPrograms counts programs restored from campaign journals
-	// (included in Programs); Checkpoints counts durable checkpoints written.
+	// (included in Programs).
 	ResumedPrograms int64 `json:"resumed_programs,omitempty"`
-	Checkpoints     int64 `json:"checkpoints,omitempty"`
 
 	Stages []StageCount `json:"stages,omitempty"` // first-seen (pipeline) order
 
@@ -652,7 +639,6 @@ func (t *Tracer) Snapshot() Counters {
 		Quarantines:     t.quarantines.Load(),
 		BreakerTrips:    t.breakerTrips.Load(),
 		ResumedPrograms: t.resumedPrograms.Load(),
-		Checkpoints:     t.checkpoints.Load(),
 	}
 	t.platMu.Lock()
 	for _, pc := range t.platforms {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestMain doubles as the crash child of the subprocess crash-safety tests:
-// when SCAMV_CRASH_CHILD names a checkpoint directory, the process runs one
+// when SCAMV_CRASH_CHILD names a journal directory, the process runs one
 // journaled campaign and exits instead of running the test suite — giving
 // the parent test a real process to SIGKILL or SIGINT mid-campaign.
 func TestMain(m *testing.M) {
@@ -30,7 +30,7 @@ func crashChild(dir string) int {
 	if os.Getenv("SCAMV_CRASH_ARM") == "1" {
 		e.Drain = scamv.ArmShutdown(nil, func() { os.Exit(130) })
 	}
-	j, err := journal.Open(dir, e.Name, journal.Options{Resume: true, Every: 1})
+	j, err := journal.Open(dir, e.Name, journal.Options{Resume: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash child:", err)
 		return 1

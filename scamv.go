@@ -168,12 +168,12 @@ type Experiment struct {
 
 	// Journal, when non-nil, is the campaign's crash-safety spine: every
 	// completed program is appended to a durable write-ahead journal as the
-	// in-order merge step commits it, with periodic atomic checkpoints, and
-	// a journal opened with Resume makes RunContext skip the restored
-	// prefix and reproduce the remainder deterministically — the Result is
-	// byte-identical (modulo wall-clock fields) to an uninterrupted run.
-	// The caller owns the journal's lifecycle (Open before Run, Close
-	// after); RunContext calls Begin, Append, and the final Checkpoint.
+	// in-order merge step commits it, and a journal opened with Resume
+	// makes RunContext skip the restored prefix and reproduce the
+	// remainder deterministically — the Result is byte-identical (modulo
+	// wall-clock fields) to an uninterrupted run. The caller owns the
+	// journal's lifecycle (Open before Run, Close after); RunContext calls
+	// Begin and Append.
 	// See internal/journal and DESIGN.md §15.
 	Journal *journal.Campaign
 
@@ -311,11 +311,6 @@ type Result struct {
 	// campaign, and with a journal armed the rest is resumable. A drained
 	// campaign returns a Result and a nil error — partial data is data.
 	Drained bool
-
-	// Checkpoints counts the atomic checkpoint snapshots written by the
-	// campaign journal (periodic plus the final one). Zero without
-	// -checkpoint.
-	Checkpoints int
 
 	// Matrix holds one soundness row per platform of a matrix campaign
 	// (Experiment.Platforms), in platform order; empty for single-platform
@@ -860,13 +855,7 @@ func (res *Result) mergeProgram(e *Experiment, p int, out *programResult) error 
 	// contiguity internal/journal enforces. Restored programs (p < restoredN)
 	// were journaled before the restart and are only replayed here.
 	if e.Journal != nil && p >= e.restoredN {
-		ckpt, err := e.Journal.Append(p, out)
-		if err != nil {
-			return err
-		}
-		if ckpt {
-			e.Trace.Checkpoint(p + 1)
-		}
+		return e.Journal.Append(p, out)
 	}
 	return nil
 }
@@ -954,13 +943,6 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 	}
 	if e.Drain != nil && e.drainRequested() && res.Programs < e.Programs {
 		res.Drained = true
-	}
-	if e.Journal != nil {
-		if err := e.Journal.Checkpoint(); err != nil {
-			return nil, err
-		}
-		res.Checkpoints = e.Journal.Checkpoints()
-		e.Trace.Checkpoint(res.Programs)
 	}
 	// Harvest breaker trips from pooled platforms (MultiPlatform, or any
 	// custom platform exposing the same counter).
