@@ -25,10 +25,10 @@ race:
 # Resilience smoke: the resilience packages under the race detector, plus
 # the root chaos campaigns (deterministic fault injection under FailPolicy
 # Degrade: golden equality across repeat runs and Parallel 1 vs 4,
-# goroutine-leak check on cancel, dead-backend pool rotation).
+# goroutine-leak check on cancel).
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/resilient ./internal/faultinject ./internal/stage
-	$(GO) test -race -count=1 -run 'Chaos|DegradeHealthy|MultiPlatform|CancelDuring' .
+	$(GO) test -race -count=1 -run 'Chaos|DegradeHealthy|CancelDuring' .
 
 # Short coverage-guided fuzzing pass over the four differential oracles
 # (CDCL vs brute force, SMT model soundness, bitblast vs evaluator,
@@ -52,10 +52,11 @@ matrix-smoke:
 	$(GO) test -race -count=1 -run 'TestDiffProgramMatrix' ./internal/oracle
 
 # Observatory smoke: the telemetry and analysis packages under the race
-# detector (Prometheus renderer, SSE stream, flight recorder, trace diff),
-# plus the root end-to-end smoke — a tiny campaign on -debug-addr=:0 whose
-# /metrics is scraped and format-checked, one SSE tick read, and one forced
-# anomaly capture's bundle verified on disk.
+# detector (Prometheus renderer, debug endpoint, flight recorder, trace
+# diff), plus the root end-to-end smoke — a tiny campaign on
+# -debug-addr=:0 whose /metrics is scraped and format-checked, whose
+# /debug/scamv document is read, and one forced anomaly capture's bundle
+# verified on disk.
 obs-smoke:
 	$(GO) test -race -count=1 ./internal/telemetry ./internal/analysis
 	$(GO) test -race -count=1 -run 'TestObservatory' .

@@ -87,7 +87,7 @@ func benchTrace(t *testing.T) ([]Experiment, func([]*Result)) {
 
 // benchObservatory is the trace plus the whole observability plane under
 // the worst realistic scrape pressure: the debug server, a /metrics scraper
-// and an SSE dashboard client both at 50ms (20x a normal Prometheus
+// and a /debug/scamv poller both at 50ms (20x a normal Prometheus
 // interval), and an armed flight recorder.
 func benchObservatory(t *testing.T) ([]Experiment, func([]*Result)) {
 	e := benchCampaign()
@@ -100,41 +100,38 @@ func benchObservatory(t *testing.T) ([]Experiment, func([]*Result)) {
 	base := "http://" + addr.String()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	var scrapes atomic.Int64
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				if resp, err := http.Get(base + "/metrics"); err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					scrapes.Add(1)
+	paths := []string{"/metrics", "/debug/scamv"}
+	scrapes := make([]atomic.Int64, len(paths))
+	for i, path := range paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tick := time.NewTicker(50 * time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick.C:
+					if resp, err := http.Get(base + path); err == nil {
+						io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+						scrapes[i].Add(1)
+					}
 				}
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		req, _ := http.NewRequestWithContext(ctx, "GET", base+"/debug/scamv/events?interval_ms=50", nil)
-		if resp, err := http.DefaultClient.Do(req); err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
+		}()
+	}
 	return []Experiment{e}, func([]*Result) {
 		cancel()
 		wg.Wait()
 		srv.Close()
 		fr.Stop()
 		stopTrace()
-		if scrapes.Load() == 0 {
-			t.Error("observatory run scraped /metrics zero times")
+		for i, path := range paths {
+			if scrapes[i].Load() == 0 {
+				t.Errorf("observatory run scraped %s zero times", path)
+			}
 		}
 	}
 }
@@ -399,7 +396,7 @@ func TestWriteBench(t *testing.T) {
 		Comparisons []benchComparison `json:"comparisons"`
 	}{
 		Date:       time.Now().UTC().Format("2006-01-02"),
-		Campaign:   "MLine-support, TemplateA^3 (8 paths), refined MCt/SpecAll, 8 programs x 40 tests, seed 2021, parallel 4; observatory = trace + debug server + 50ms /metrics scraper + 50ms SSE client + flight recorder; journaled = fsync-per-program WAL; matrix = a53/a72/m0 in one campaign, sequential = the three as single-platform campaigns",
+		Campaign:   "MLine-support, TemplateA^3 (8 paths), refined MCt/SpecAll, 8 programs x 40 tests, seed 2021, parallel 4; observatory = trace + debug server + 50ms /metrics scraper + 50ms /debug/scamv poller + flight recorder; journaled = fsync-per-program WAL; matrix = a53/a72/m0 in one campaign, sequential = the three as single-platform campaigns",
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),

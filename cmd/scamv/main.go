@@ -13,7 +13,7 @@
 //	scamv -report-diff old.jsonl new.jsonl
 //	                               # align two traces: latency deltas, solver
 //	                               # effort regressions, verdict drift
-//	scamv -debug-addr :6060        # /metrics, /debug/scamv/live, pprof
+//	scamv -debug-addr :6060        # /metrics, /debug/scamv, pprof
 //	scamv -flight-dir flights      # anomaly flight recorder: ring + goroutine
 //	                               # dump bundles on slow queries and stalls
 //	scamv -chaos heavy -fail-policy degrade -retries 2 -exec-timeout 100ms
@@ -186,7 +186,7 @@ func run() int {
 		// Report the actually-bound address (meaningful with :0) and expose
 		// it to the campaign results via the tracer.
 		tr.SetDebugAddr(addr.String())
-		fmt.Fprintf(os.Stderr, "scamv: debug endpoint on http://%s/debug/scamv (live: /debug/scamv/live, metrics: /metrics)\n", addr)
+		fmt.Fprintf(os.Stderr, "scamv: debug endpoint on http://%s/debug/scamv (metrics: /metrics)\n", addr)
 	}
 	if *progress {
 		stop := telemetry.StartProgress(os.Stderr, tr, time.Second)

@@ -509,7 +509,9 @@ func testCrashSIGKILLChaos(t *testing.T) {
 // TestGracefulSIGINT drives the two-signal shutdown protocol end to end in a
 // subprocess: one SIGINT drains and exits with the resumable status code,
 // and a subsequent resume completes the campaign with the uninterrupted
-// Result.
+// Result. The child's releaseGate holds every program after the first until
+// the parent, having seen a journal record and sent the signal, creates the
+// release file, so the signal always lands mid-campaign.
 func TestGracefulSIGINT(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX signals required")
@@ -520,21 +522,38 @@ func TestGracefulSIGINT(t *testing.T) {
 	want := resumeGoldenOf(mustRun(t, crashCampaign()))
 
 	dir := t.TempDir()
+	cdir := filepath.Join(dir, journal.Sanitize(crashCampaign().Name))
 	cmd := crashChildCmd(dir, true)
+	cmd.Env = append(cmd.Env, "SCAMV_CRASH_GATE=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(60 * time.Millisecond)
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	deadline := time.After(2 * time.Minute)
+	for journalRecords(t, filepath.Join(cdir, "journal.jsonl")) < 1 {
+		select {
+		case err := <-exited:
+			t.Fatalf("child exited %d before journaling a program\n%s", exitCode(err), stderr.Bytes())
+		case <-deadline:
+			_ = cmd.Process.Kill()
+			t.Fatal("child journaled no program within 2 minutes")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
 	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
-	code := exitCode(cmd.Wait())
-	// 3 = drained partway (the interesting path); 0 = the campaign beat the
-	// signal, which still exercises resume-of-complete below.
-	if code != 3 && code != 0 {
-		t.Fatalf("interrupted child exited %d, want 3 (drained) or 0 (completed)", code)
+	if err := os.WriteFile(filepath.Join(cdir, releaseFile), nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("SIGINT child exited %d", code)
+	if code := exitCode(<-exited); code != 3 {
+		t.Fatalf("interrupted child exited %d, want 3 (drained)\n%s", code, stderr.Bytes())
+	}
+	t.Logf("SIGINT child drained after journaling %d of %d programs",
+		journalRecords(t, filepath.Join(cdir, "journal.jsonl")), crashCampaign().Programs)
 
 	out, err := crashChildCmd(dir, false).CombinedOutput()
 	if err != nil {
@@ -554,6 +573,26 @@ func TestGracefulSIGINT(t *testing.T) {
 	if got := resumeGoldenOf(r); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-SIGINT Result differs from uninterrupted run:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// journalRecords counts the complete program records in a journal file; a
+// missing file holds none.
+func journalRecords(t *testing.T, path string) int {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return 0
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+		if bytes.HasSuffix(line, []byte("\n")) && bytes.Contains(line, []byte(`"kind":"program"`)) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestSecondSignalAborts: two rapid SIGINTs abort immediately with a

@@ -10,8 +10,8 @@ import (
 
 // TestTraceReportGolden pins the rendered -report of a trace holding every
 // record kind: campaign, span, query (each status), verdict, platform, the
-// resilience kinds, resume, and two retired kinds that readers ignore: a v5
-// "checkpoint" record and a v3 "shape" record.
+// resilience kinds, resume, and three retired kinds that readers ignore: v5
+// "breaker" records, a v5 "checkpoint" record and a v3 "shape" record.
 func TestTraceReportGolden(t *testing.T) {
 	recs, err := telemetry.LoadTrace(filepath.Join("testdata", "report_all.jsonl"))
 	if err != nil {

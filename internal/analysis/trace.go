@@ -63,11 +63,10 @@ type TraceReport struct {
 
 	// Resilience counters (schema v2 kinds); all zero for a healthy
 	// campaign or a v1 trace.
-	Retries      int64
-	Timeouts     int64
-	Skips        int64
-	Quarantines  int64
-	BreakerTrips int64
+	Retries     int64
+	Timeouts    int64
+	Skips       int64
+	Quarantines int64
 
 	// Platforms holds the per-platform verdict breakdown of matrix campaigns
 	// (schema v4 "platform" records), sorted by platform name; empty for
@@ -92,11 +91,10 @@ func AnalyzeTrace(recs []telemetry.Record) *TraceReport {
 		Stages:   c.Stages,
 		QueryAll: telemetry.StageCount{Name: "all", Count: c.Queries, BusyUS: c.QueryTimeUS,
 			P50US: c.QueryP50US, P95US: c.QueryP95US, P99US: c.QueryP99US},
-		Retries:      c.Retries,
-		Timeouts:     c.Timeouts,
-		Skips:        c.Skips,
-		Quarantines:  c.Quarantines,
-		BreakerTrips: c.BreakerTrips,
+		Retries:     c.Retries,
+		Timeouts:    c.Timeouts,
+		Skips:       c.Skips,
+		Quarantines: c.Quarantines,
 	}
 	for _, s := range c.Stages {
 		r.Spans += s.Count
@@ -187,9 +185,9 @@ func (r *TraceReport) String() string {
 
 	// Resilience line only when something went wrong: healthy-trace reports
 	// are unchanged.
-	if r.Retries > 0 || r.Timeouts > 0 || r.Skips > 0 || r.Quarantines > 0 || r.BreakerTrips > 0 {
-		fmt.Fprintf(&sb, "resilience: %d retries (%d timeouts), %d skips, %d quarantined, %d breaker trips\n",
-			r.Retries, r.Timeouts, r.Skips, r.Quarantines, r.BreakerTrips)
+	if r.Retries > 0 || r.Timeouts > 0 || r.Skips > 0 || r.Quarantines > 0 {
+		fmt.Fprintf(&sb, "resilience: %d retries (%d timeouts), %d skips, %d quarantined\n",
+			r.Retries, r.Timeouts, r.Skips, r.Quarantines)
 	}
 
 	fmt.Fprintf(&sb, "\nstage latency (per program):\n")

@@ -1,11 +1,11 @@
 // Package resilient provides the generic resilience primitives of the
 // campaign runtime: transient/permanent error classification, a bounded
 // retry loop with per-attempt deadlines and seeded-jitter exponential
-// backoff (Do), and a closed/open/half-open circuit breaker (Breaker).
+// backoff (Do).
 //
 // The package is deliberately free of scamv types: it operates on plain
 // functions and errors, and the root package wires it around the Platform
-// interface (see scamv.Experiment.FailPolicy and scamv.MultiPlatform).
+// interface (see scamv.Experiment.FailPolicy).
 // The motivating failure mode is the paper's real execution substrate — a
 // farm of Raspberry Pi boards driven over a debug bridge, where boards
 // hang, resets fail, and measurements get lost — so the defaults lean
@@ -84,10 +84,6 @@ func Classify(err error) Class {
 	return Transient
 }
 
-// ErrBreakerOpen is returned by Do when the policy's circuit breaker denies
-// the call before any attempt is made.
-var ErrBreakerOpen = errors.New("resilient: circuit breaker open")
-
 // Policy configures one Do call.
 type Policy struct {
 	// Timeout is the per-attempt deadline (0 = none). An attempt that
@@ -108,10 +104,6 @@ type Policy struct {
 	// while any single call's schedule stays reproducible.
 	JitterSeed uint64
 
-	// Breaker, when non-nil, gates every attempt: a denied attempt returns
-	// ErrBreakerOpen immediately, and attempt outcomes feed the breaker.
-	Breaker *Breaker
-
 	// ClassifyErr overrides the default Classify.
 	ClassifyErr func(error) Class
 
@@ -127,10 +119,9 @@ type Policy struct {
 
 // Outcome reports what one Do call spent.
 type Outcome struct {
-	Attempts      int  // attempts actually made
-	Retries       int  // backoff-and-retry transitions
-	Timeouts      int  // attempts that hit the per-attempt deadline
-	BreakerDenied bool // the breaker refused the call before any attempt
+	Attempts int // attempts actually made
+	Retries  int // backoff-and-retry transitions
+	Timeouts int // attempts that hit the per-attempt deadline
 }
 
 // Splitmix64 is the SplitMix64 finalizer: a bijective 64-bit mixer with full
@@ -182,12 +173,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Do runs f with the policy's deadline, retry, and breaker semantics:
-// each attempt gets its own deadline-bounded context derived from ctx;
-// transient failures are retried up to p.Retries times with jittered
-// exponential backoff; permanent failures, breaker denials, and parent
-// cancellation stop immediately. The returned error is the last attempt's
-// (with timeout attempts annotated), and the Outcome is always valid.
+// Do runs f with the policy's deadline and retry semantics: each attempt
+// gets its own deadline-bounded context derived from ctx; transient
+// failures are retried up to p.Retries times with jittered exponential
+// backoff; permanent failures and parent cancellation stop immediately.
+// The returned error is the last attempt's (with timeout attempts
+// annotated), and the Outcome is always valid.
 func Do[T any](ctx context.Context, p Policy, f func(context.Context) (T, error)) (T, Outcome, error) {
 	var zero T
 	var o Outcome
@@ -203,10 +194,6 @@ func Do[T any](ctx context.Context, p Policy, f func(context.Context) (T, error)
 		if err := ctx.Err(); err != nil {
 			return zero, o, err
 		}
-		if p.Breaker != nil && !p.Breaker.Allow() {
-			o.BreakerDenied = true
-			return zero, o, ErrBreakerOpen
-		}
 		o.Attempts++
 		actx := ctx
 		var cancel context.CancelFunc
@@ -218,13 +205,7 @@ func Do[T any](ctx context.Context, p Policy, f func(context.Context) (T, error)
 			cancel()
 		}
 		if err == nil {
-			if p.Breaker != nil {
-				p.Breaker.Success()
-			}
 			return v, o, nil
-		}
-		if p.Breaker != nil {
-			p.Breaker.Failure()
 		}
 		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
 			// The attempt deadline fired (the parent is still live).

@@ -150,37 +150,6 @@ func TestDoParentCancellationWinsOverRetry(t *testing.T) {
 	}
 }
 
-func TestDoBreakerDenies(t *testing.T) {
-	fake := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Now: func() time.Time { return fake }})
-	b.Failure() // trip it
-	if b.State() != Open {
-		t.Fatalf("state = %v, want open", b.State())
-	}
-	calls := 0
-	_, o, err := Do(context.Background(), Policy{Breaker: b, Sleep: noSleep},
-		func(context.Context) (int, error) {
-			calls++
-			return 0, nil
-		})
-	if !errors.Is(err, ErrBreakerOpen) || calls != 0 || !o.BreakerDenied {
-		t.Fatalf("err=%v calls=%d outcome=%+v, want breaker denial", err, calls, o)
-	}
-}
-
-func TestDoFeedsBreaker(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3})
-	_, _, err := Do(context.Background(), Policy{Retries: 2, Breaker: b, Sleep: noSleep},
-		func(context.Context) (int, error) { return 0, errors.New("flaky") })
-	if err == nil {
-		t.Fatal("want error")
-	}
-	// 3 attempts = 3 consecutive failures = trip.
-	if b.State() != Open || b.Trips() != 1 {
-		t.Fatalf("state=%v trips=%d, want open after 3 failures", b.State(), b.Trips())
-	}
-}
-
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	p := Policy{BackoffBase: time.Millisecond, BackoffMax: 16 * time.Millisecond, JitterSeed: 99}
 	var prev []time.Duration

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// liveDoc is the /debug/scamv and SSE document: the counter snapshot with
+// liveDoc is the /debug/scamv document: the counter snapshot with
 // the flight recorder's ring/watermark status beside it, omitted when no
 // recorder is attached.
 type liveDoc struct {
@@ -31,8 +31,6 @@ func snapshotDoc(t *Tracer) liveDoc {
 //
 //	/metrics             Prometheus text-format export of the live aggregates
 //	/debug/scamv         JSON snapshot of the tracer's live counters
-//	/debug/scamv/live    self-contained live HTML dashboard (SSE-fed)
-//	/debug/scamv/events  server-sent-events stream of counter snapshots
 //	/debug/scamv/flight  flight-recorder status (GET) / forced capture (POST)
 //	/debug/pprof/        the standard pprof index, profiles, and traces
 func DebugMux(t *Tracer) *http.ServeMux {
@@ -44,8 +42,6 @@ func DebugMux(t *Tracer) *http.ServeMux {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(snapshotDoc(t))
 	})
-	mux.HandleFunc("/debug/scamv/live", liveHandler())
-	mux.HandleFunc("/debug/scamv/events", sseHandler(t))
 	mux.HandleFunc("/debug/scamv/flight", flightHandler(t))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -53,6 +49,40 @@ func DebugMux(t *Tracer) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// flightHandler reports the flight recorder's status (GET) and forces a
+// capture (POST, optional ?reason=), returning the bundle path — the manual
+// seam the obs-smoke exercises and an operator's "grab me evidence now".
+func flightHandler(t *Tracer) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		fr := t.FlightRecorder()
+		if fr == nil {
+			http.Error(w, "no flight recorder attached", http.StatusNotFound)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if r.Method == http.MethodPost {
+			reason := r.FormValue("reason")
+			if reason == "" {
+				reason = "manual"
+			}
+			dir, err := fr.ForceCapture(reason)
+			out := struct {
+				Bundle string `json:"bundle,omitempty"`
+				Error  string `json:"error,omitempty"`
+			}{Bundle: dir}
+			if err != nil {
+				out.Error = err.Error()
+				w.WriteHeader(http.StatusInternalServerError)
+			}
+			_ = enc.Encode(out)
+			return
+		}
+		_ = enc.Encode(fr.Status())
+	}
 }
 
 // ServeDebug starts the debug endpoint on addr (e.g. "localhost:6060";

@@ -3,10 +3,10 @@ package telemetry
 // The flight recorder is the "deep evidence on demand" half of the
 // observatory: cheap aggregates run all the time (/metrics, the progress
 // line), and when an anomaly fires — a solver query far past the campaign's
-// own p99, a circuit breaker opening, a pipeline stage stalling on
-// backpressure — the recorder snapshots a bounded lock-free ring of the most
-// recent trace records, the live counters, a goroutine dump, and optionally a
-// short CPU profile into a timestamped bundle directory. The design follows
+// own p99, a pipeline stage stalling on backpressure — the recorder
+// snapshots a bounded lock-free ring of the most recent trace records, the
+// live counters, a goroutine dump, and optionally a short CPU profile into a
+// timestamped bundle directory. The design follows
 // the targeted-diagnosis philosophy of per-site mitigation work: pay for
 // detail exactly when something is wrong, nothing the rest of the time.
 //
@@ -32,7 +32,7 @@ import (
 
 // FlightConfig tunes the flight recorder. The zero value of every field
 // selects a sensible default; a zero Dir disables bundle writing (the ring
-// and watermarks still run and feed /metrics and the dashboard).
+// and watermarks still run and feed /metrics and /debug/scamv).
 type FlightConfig struct {
 	// RingSize is the number of trace records retained (default 2048).
 	RingSize int
@@ -195,11 +195,6 @@ func (fr *FlightRecorder) noteQuery(d time.Duration, hist *Histogram) {
 	}
 }
 
-// noteBreaker fires the breaker-open trigger.
-func (fr *FlightRecorder) noteBreaker(name string) {
-	fr.TriggerCapture("breaker-open " + name)
-}
-
 // watch is the stall watchdog: it samples the live pipeline metrics every
 // SampleInterval and captures when any stage's backpressure stall grows by
 // more than StallThreshold within one interval.
@@ -303,8 +298,8 @@ func (fr *FlightRecorder) RingSnapshot() []Record {
 	return out
 }
 
-// FlightStatus is the recorder's live status, rendered by /debug/scamv,
-// the SSE stream, and the flight endpoint.
+// FlightStatus is the recorder's live status, rendered by /debug/scamv and
+// the flight endpoint.
 type FlightStatus struct {
 	RingSize   int    `json:"ring_size"`
 	Events     int64  `json:"events"`

@@ -54,7 +54,6 @@ var scalarFamilies = []family[Counters]{
 	{"scamv_timeouts_total", "counter", "Platform attempts that hit their deadline.", func(c *Counters) int64 { return c.Timeouts }},
 	{"scamv_skips_total", "counter", "Tests abandoned under FailPolicy Degrade.", func(c *Counters) int64 { return c.Skips }},
 	{"scamv_quarantines_total", "counter", "Programs quarantined after consecutive failures.", func(c *Counters) int64 { return c.Quarantines }},
-	{"scamv_breaker_trips_total", "counter", "Circuit-breaker transitions into the open state.", func(c *Counters) int64 { return c.BreakerTrips }},
 	{"scamv_resumed_programs_total", "counter", "Programs restored from campaign journals instead of re-run.", func(c *Counters) int64 { return c.ResumedPrograms }},
 }
 

@@ -47,9 +47,6 @@ func RenderProgress(cur, prev Counters, dt time.Duration) string {
 	if cur.Quarantines > 0 {
 		fmt.Fprintf(&sb, "  quarantined %d", cur.Quarantines)
 	}
-	if cur.BreakerTrips > 0 {
-		fmt.Fprintf(&sb, "  breaker-trips %d", cur.BreakerTrips)
-	}
 
 	// Busy share over the interval: how the pipeline's working time divided
 	// across stages since the previous tick. Relative shares rank the

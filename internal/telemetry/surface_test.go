@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
@@ -36,7 +35,6 @@ func surfaceTracer(t *testing.T, dir string) *Tracer {
 	tr.Timeout(1, 1, 1)
 	tr.Skip(1, 1, "retries exhausted")
 	tr.Quarantine(2, "failures")
-	tr.Breaker("sim", "closed", "half-open")
 	tr.ProgramDone()
 	tr.SetPipelineSource(func() []PipelineStage {
 		return []PipelineStage{{Name: "testgen", Workers: 2, In: 1, Out: 1}}
@@ -77,10 +75,10 @@ func keyPaths(v any) []string {
 	return out
 }
 
-// wireKeys are the /debug/scamv and SSE document's key paths with every
-// section present.
+// wireKeys are the /debug/scamv document's key paths with every section
+// present.
 var wireKeys = []string{
-	"ack_reads", "blast_hits", "blast_misses", "breaker_trips",
+	"ack_reads", "blast_hits", "blast_misses",
 	"conflicts", "counterexamples", "decisions", "elapsed_us", "experiments",
 	"flight", "flight.captures", "flight.dropped", "flight.events",
 	"flight.max_query_us", "flight.max_stall_us", "flight.ring_size",
@@ -126,24 +124,6 @@ func TestWireDocumentKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertKeys(t, "/debug/scamv", body.Bytes(), wireKeys)
-
-	resp, err = http.Get(srv.URL + "/debug/scamv/events?interval_ms=1000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	var frame string
-	for sc.Scan() {
-		if line := sc.Text(); strings.HasPrefix(line, "data: ") {
-			frame = strings.TrimPrefix(line, "data: ")
-			break
-		}
-	}
-	resp.Body.Close()
-	if frame == "" {
-		t.Fatalf("no SSE frame (scan err %v)", sc.Err())
-	}
-	assertKeys(t, "SSE frame", []byte(frame), wireKeys)
 
 	bundle, err := tr.FlightRecorder().ForceCapture("surface")
 	if err != nil {

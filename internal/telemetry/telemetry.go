@@ -8,8 +8,8 @@
 //     hits/misses, and Ackermann expansion counts), and per experiment
 //     verdict — reloadable by ReadTrace for offline latency analysis;
 //   - live aggregates (Snapshot, one Counters struct) feeding the periodic
-//     progress line on stderr, /metrics, and the /debug/scamv JSON and SSE
-//     documents;
+//     progress line on stderr, /metrics, and the /debug/scamv JSON
+//     document;
 //   - per-stage and per-query latency histograms (fixed log2 buckets, no
 //     floats in the hot path).
 //
@@ -41,12 +41,13 @@ import (
 // SchemaVersion is the trace schema version stamped on every record.
 // Version 1: kinds "campaign", "span", "query", "verdict" with the fields
 // documented on Record. Version 2 adds the resilience kinds "retry",
-// "timeout", "skip", "quarantine", "breaker" (new fields Reason, Attempt,
-// From, To). Version 3 added the "shape" kind (field "hit") of a since-
-// deleted campaign shape cache, and the per-query fields "winner" and
-// "shared_clauses" of a since-retired portfolio backend; none of them is
-// written any more and readers ignore them. v1 and v2 traces remain
-// loadable. Version 4
+// "timeout", "skip", "quarantine" (new fields Reason, Attempt), and
+// "breaker" (fields "from", "to") of a since-deleted circuit breaker, no
+// longer written and ignored by readers. Version 3 added the "shape" kind
+// (field "hit") of a since-deleted campaign shape cache, and the per-query
+// fields "winner" and "shared_clauses" of a since-retired portfolio
+// backend; none of them is written any more and readers ignore them. v1
+// and v2 traces remain loadable. Version 4
 // adds the "platform" kind: one record per (platform, test) of a matrix
 // campaign, carrying the platform name in Name alongside the verdict fields.
 // Version 5 adds the crash-safety kinds "resume" (a campaign restored a
@@ -73,7 +74,6 @@ const SchemaVersion = 5
 //	timeout   one platform attempt hit its deadline: Prog, Test, Attempt
 //	skip      one test abandoned under FailPolicy Degrade: Prog, Test, Reason
 //	quarantine one program quarantined: Prog, Reason
-//	breaker   one circuit-breaker transition: Name, From, To
 //	platform  one platform's verdict for one test of a matrix campaign:
 //	          Name (platform), Prog, Test, Verdict, DurUS
 //	resume    a campaign restored a journaled prefix on startup: Name
@@ -110,8 +110,6 @@ type Record struct {
 	// Resilience fields (schema v2).
 	Reason  string `json:"reason,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
-	From    string `json:"from,omitempty"`
-	To      string `json:"to,omitempty"`
 }
 
 // QueryEvent is one solver query as reported by the test-case generator.
@@ -166,11 +164,10 @@ type Tracer struct {
 	ackReads     atomic.Int64
 
 	// Resilience counters (schema v2 kinds).
-	retries      atomic.Int64
-	timeouts     atomic.Int64
-	skips        atomic.Int64
-	quarantines  atomic.Int64
-	breakerTrips atomic.Int64
+	retries     atomic.Int64
+	timeouts    atomic.Int64
+	skips       atomic.Int64
+	quarantines atomic.Int64
 
 	// Crash-safety counter (schema v5).
 	resumedPrograms atomic.Int64
@@ -412,10 +409,6 @@ func (t *Tracer) observe(rec *Record) {
 		t.skips.Add(1)
 	case "quarantine":
 		t.quarantines.Add(1)
-	case "breaker":
-		if rec.To == "open" {
-			t.breakerTrips.Add(1)
-		}
 	case "resume":
 		// Restored programs count as completed too, so the progress line
 		// starts at N/P instead of replaying from zero.
@@ -511,18 +504,6 @@ func (t *Tracer) Quarantine(prog int, reason string) {
 	t.record(&Record{Kind: "quarantine", TSus: t.now(), Prog: prog, Reason: reason})
 }
 
-// Breaker records one circuit-breaker state transition; transitions into the
-// open state count as trips and fire the flight recorder's breaker trigger.
-func (t *Tracer) Breaker(name, from, to string) {
-	if t == nil {
-		return
-	}
-	t.record(&Record{Kind: "breaker", TSus: t.now(), Name: name, From: from, To: to})
-	if fr := t.fr.Load(); fr != nil && to == "open" {
-		fr.noteBreaker(name)
-	}
-}
-
 // Resume records a campaign restoring a journaled prefix of programs
 // completed before a restart. The restored count feeds both the resumed
 // counter and the completed-programs counter.
@@ -562,8 +543,8 @@ type StageCount struct {
 }
 
 // Counters is a point-in-time copy of the tracer's aggregates: the one
-// definition behind the progress line, /metrics, and the /debug/scamv, SSE
-// and flight-bundle JSON documents, whose keys are its JSON tags. Durations
+// definition behind the progress line, /metrics, and the /debug/scamv and
+// flight-bundle JSON documents, whose keys are its JSON tags. Durations
 // are integer microseconds, the resolution every histogram buckets at.
 type Counters struct {
 	ElapsedUS int64 `json:"elapsed_us"`
@@ -586,11 +567,10 @@ type Counters struct {
 	BlastMisses  int64 `json:"blast_misses"`
 	AckReads     int64 `json:"ack_reads"`
 
-	Retries      int64 `json:"retries"`
-	Timeouts     int64 `json:"timeouts"`
-	Skips        int64 `json:"skips"`
-	Quarantines  int64 `json:"quarantines"`
-	BreakerTrips int64 `json:"breaker_trips"`
+	Retries     int64 `json:"retries"`
+	Timeouts    int64 `json:"timeouts"`
+	Skips       int64 `json:"skips"`
+	Quarantines int64 `json:"quarantines"`
 
 	// ResumedPrograms counts programs restored from campaign journals
 	// (included in Programs).
@@ -637,7 +617,6 @@ func (t *Tracer) Snapshot() Counters {
 		Timeouts:        t.timeouts.Load(),
 		Skips:           t.skips.Load(),
 		Quarantines:     t.quarantines.Load(),
-		BreakerTrips:    t.breakerTrips.Load(),
 		ResumedPrograms: t.resumedPrograms.Load(),
 	}
 	t.platMu.Lock()

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -12,6 +13,9 @@ func TestReadTraceTolerant(t *testing.T) {
 {"v":4,"kind":"query","ts_us":2,"status":"sat","dur_us":100}
 {"v":5,"kind":"query","ts_us":3,"status":"unsat","dur_us":90,"winner":2,"shared_clauses":5}
 `
+	// A retired v5 circuit-breaker record must parse too.
+	breaker := `{"v":5,"kind":"breaker","ts_us":4,"name":"sim","from":"closed","to":"open"}
+`
 	cases := []struct {
 		name     string
 		input    string
@@ -20,6 +24,7 @@ func TestReadTraceTolerant(t *testing.T) {
 		wantErr  string
 	}{
 		{"clean", good, 3, 0, ""},
+		{"retired breaker record", good + breaker, 4, 0, ""},
 		{"torn final line", good + `{"v":4,"kind":"verd`, 3, 1, ""},
 		{"torn final after newline gap", good + "\n" + `{"v":4,"ki`, 3, 1, ""},
 		{"mid-file corruption is fatal", `{"v":4,"kind":"camp` + "\n" + good, 0, 0, "line 1"},
@@ -44,6 +49,15 @@ func TestReadTraceTolerant(t *testing.T) {
 				t.Errorf("recs=%d torn=%d, want %d/%d", len(recs), torn, tc.wantRecs, tc.wantTorn)
 			}
 		})
+	}
+
+	// The retired breaker record feeds no aggregate.
+	recs, err := ReadTrace(strings.NewReader(breaker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := Replay(recs); !reflect.DeepEqual(c, Counters{}) {
+		t.Errorf("replay of a breaker record = %+v, want all zero", c)
 	}
 }
 

@@ -1,11 +1,19 @@
 package scamv_test
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"os"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"scamv"
+	"scamv/internal/arm"
+	"scamv/internal/core"
 	"scamv/internal/journal"
 )
 
@@ -24,7 +32,9 @@ func TestMain(m *testing.M) {
 // prior state (a fresh directory degrades to a fresh start, so the same
 // child serves first runs, post-kill resumes, and post-drain resumes).
 // Exit codes mirror cmd/scamv: 0 complete, 3 drained (resumable), 1 error,
-// 130 on a second interrupt.
+// 130 on a second interrupt. With SCAMV_CRASH_GATE=1 the child runs at
+// Parallel 1 behind a releaseGate whose release file is releaseFile in the
+// campaign directory.
 func crashChild(dir string) int {
 	e := crashCampaign()
 	if os.Getenv("SCAMV_CRASH_ARM") == "1" {
@@ -36,6 +46,12 @@ func crashChild(dir string) int {
 		return 1
 	}
 	e.Journal = j
+	if os.Getenv("SCAMV_CRASH_GATE") == "1" {
+		// At Parallel 1 every stage has one worker, so programs reach
+		// Execute in program order and the first program seen is program 0.
+		e.Parallel = 1
+		e.Platform = &releaseGate{release: filepath.Join(j.Dir(), releaseFile)}
+	}
 	r, err := scamv.Run(e)
 	cerr := j.Close()
 	if err != nil {
@@ -50,4 +66,40 @@ func crashChild(dir string) int {
 		return 3
 	}
 	return 0
+}
+
+// releaseFile names the file whose appearance in the campaign directory
+// opens a crash child's releaseGate.
+const releaseFile = "release"
+
+// releaseGate is a Platform that runs the first program's Execute calls and
+// holds every later program's until the release file exists. A signal sent
+// once the journal holds a record then always lands mid-campaign: the
+// campaign cannot finish before the parent lets it go.
+type releaseGate struct {
+	release  string
+	released atomic.Bool
+	mu       sync.Mutex
+	first    string
+}
+
+func (g *releaseGate) Execute(ctx context.Context, e *scamv.Experiment, prog *arm.Program, st, train *core.State, noise *rand.Rand) (scamv.Measurement, error) {
+	g.mu.Lock()
+	if g.first == "" {
+		g.first = prog.Name
+	}
+	first := g.first == prog.Name
+	g.mu.Unlock()
+	for !first && !g.released.Load() {
+		if _, err := os.Stat(g.release); err == nil {
+			g.released.Store(true)
+			break
+		}
+		select {
+		case <-ctx.Done():
+			return scamv.Measurement{}, ctx.Err()
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	return scamv.SimPlatform{}.Execute(ctx, e, prog, st, train, noise)
 }

@@ -1,7 +1,6 @@
 package scamv
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -16,7 +15,7 @@ import (
 // TestObservatory is the end-to-end smoke of the campaign observatory: a
 // tiny campaign with the aggregates-only tracer, a debug endpoint on an
 // ephemeral port, and an armed flight recorder — then scrape /metrics,
-// load the live page, read one SSE tick, and force an anomaly capture.
+// read the /debug/scamv document, and force an anomaly capture.
 // This is what `make obs-smoke` runs.
 func TestObservatory(t *testing.T) {
 	tr := telemetry.New(nil)
@@ -69,48 +68,26 @@ func TestObservatory(t *testing.T) {
 		t.Error("/metrics shows zero experiments after the campaign")
 	}
 
-	// Live dashboard page.
-	page := httpGet(t, base+"/debug/scamv/live")
-	if !strings.Contains(page, "scamv campaign observatory") {
-		t.Error("live page did not serve")
-	}
-
-	// One SSE tick with real campaign aggregates in it.
-	resp, err := http.Get(base + "/debug/scamv/events?interval_ms=50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	var tick struct {
+	// The live document, with real campaign aggregates in it.
+	var doc struct {
 		Experiments int64 `json:"experiments"`
 		Pipeline    []struct {
 			Name string `json:"name"`
 		} `json:"pipeline"`
 	}
-	got := false
-	for sc.Scan() {
-		if line := sc.Text(); strings.HasPrefix(line, "data: ") {
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &tick); err != nil {
-				t.Fatalf("SSE tick is not JSON: %v", err)
-			}
-			got = true
-			break
-		}
+	if err := json.Unmarshal([]byte(httpGet(t, base+"/debug/scamv")), &doc); err != nil {
+		t.Fatalf("/debug/scamv is not JSON: %v", err)
 	}
-	resp.Body.Close()
-	if !got {
-		t.Fatal("no SSE tick received")
+	if doc.Experiments != int64(res.Experiments) {
+		t.Errorf("/debug/scamv experiments = %d, want %d", doc.Experiments, res.Experiments)
 	}
-	if tick.Experiments != int64(res.Experiments) {
-		t.Errorf("SSE tick experiments = %d, want %d", tick.Experiments, res.Experiments)
-	}
-	if len(tick.Pipeline) == 0 {
-		t.Error("SSE tick has no live pipeline stages (staged engine source not registered?)")
+	if len(doc.Pipeline) == 0 {
+		t.Error("/debug/scamv has no live pipeline stages (staged engine source not registered?)")
 	}
 
 	// Force one anomaly capture through the debug endpoint and check the
 	// bundle: ring snapshot in trace format plus a goroutine dump.
-	resp, err = http.Post(base+"/debug/scamv/flight?reason=smoke-test", "", nil)
+	resp, err := http.Post(base+"/debug/scamv/flight?reason=smoke-test", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,22 +4,19 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
-	"scamv/internal/arm"
 	"scamv/internal/core"
 	"scamv/internal/lazyrand"
 	"scamv/internal/resilient"
-	"scamv/internal/telemetry"
 )
 
 // This file is the resilience layer between the campaign engines and the
 // Platform: per-Execute deadlines and seeded-backoff retries (via
-// internal/resilient), the Degrade fail policy with per-test skips and
-// program quarantine, and a circuit-breaker-guarded multi-backend pool.
-// The paper's real platform is a farm of Raspberry Pi boards driven over a
-// debug bridge — boards hang, resets fail, measurements get lost — and a
-// campaign must be able to survive a sick backend instead of dying with it.
+// internal/resilient), and the Degrade fail policy with per-test skips and
+// program quarantine. The paper's real platform is a farm of Raspberry Pi
+// boards driven over a debug bridge — boards hang, resets fail,
+// measurements get lost — and a campaign must be able to survive a sick
+// backend instead of dying with it.
 
 // FailPolicy selects what a campaign does when platform execution keeps
 // failing after the retry budget.
@@ -142,120 +139,4 @@ func (pl *Pipeline) executeTestCase(ctx context.Context, e *Experiment, p, t int
 		}
 	}
 	return verdict, stats, nil
-}
-
-// MultiPlatform fans Execute calls out over a pool of backends, one circuit
-// breaker per backend. Calls rotate round-robin; a backend whose breaker is
-// open is passed over, a backend that fails is reported to its breaker and
-// the call moves to the next one. A permanently dead backend therefore trips
-// its breaker and drops out of the rotation (re-probed after the cooldown)
-// while the campaign keeps running on the healthy ones.
-//
-// Campaign counts stay deterministic as long as the healthy backends are
-// observationally identical (they measure the same simulated machine), which
-// is the deployment this models: one logical platform, several boards.
-type MultiPlatform struct {
-	backends []Platform
-	breakers []*resilient.Breaker
-	next     atomic.Uint64
-}
-
-// NewMultiPlatform builds a breaker-guarded pool over the given backends.
-// cfg configures every breaker (zero value = resilient defaults); the
-// per-backend breaker names extend cfg.Name with the backend index.
-func NewMultiPlatform(cfg resilient.BreakerConfig, backends ...Platform) *MultiPlatform {
-	if len(backends) == 0 {
-		backends = []Platform{SimPlatform{}}
-	}
-	m := &MultiPlatform{backends: backends}
-	for i := range backends {
-		c := cfg
-		if c.Name == "" {
-			c.Name = "backend"
-		}
-		c.Name = fmt.Sprintf("%s[%d]", c.Name, i)
-		m.breakers = append(m.breakers, resilient.NewBreaker(c))
-	}
-	return m
-}
-
-// Execute implements Platform by routing the call to the next live backend.
-func (m *MultiPlatform) Execute(ctx context.Context, e *Experiment, prog *arm.Program, st, train *core.State, noise *rand.Rand) (Measurement, error) {
-	start := int(m.next.Add(1) - 1)
-	var lastErr error
-	denied := 0
-	for i := 0; i < len(m.backends); i++ {
-		k := (start + i) % len(m.backends)
-		if !m.breakers[k].Allow() {
-			denied++
-			continue
-		}
-		meas, err := m.backends[k].Execute(ctx, e, prog, st, train, noise)
-		if err == nil {
-			m.breakers[k].Success()
-			return meas, nil
-		}
-		m.breakers[k].Failure()
-		lastErr = fmt.Errorf("backend %d: %w", k, err)
-		if ctx.Err() != nil {
-			return Measurement{}, lastErr
-		}
-	}
-	if lastErr == nil {
-		// Every breaker denied the call: transient by construction — the
-		// cooldown will re-admit probes, so the retry layer may try again.
-		return Measurement{}, resilient.MarkTransient(
-			fmt.Errorf("all %d backends circuit-broken: %w", denied, resilient.ErrBreakerOpen))
-	}
-	// Every backend failed this call. Whether that is worth retrying is up
-	// to the last error's own class.
-	return Measurement{}, fmt.Errorf("all %d backends failed: %w", len(m.backends), lastErr)
-}
-
-// BreakerTrips sums the trip counts of all per-backend breakers. RunContext
-// harvests it into Result.BreakerTrips.
-func (m *MultiPlatform) BreakerTrips() uint64 {
-	var n uint64
-	for _, b := range m.breakers {
-		n += b.Trips()
-	}
-	return n
-}
-
-// BreakerStates returns the current per-backend breaker states, in backend
-// order (diagnostics and tests).
-func (m *MultiPlatform) BreakerStates() []resilient.State {
-	out := make([]resilient.State, len(m.breakers))
-	for i, b := range m.breakers {
-		out[i] = b.State()
-	}
-	return out
-}
-
-// setTracer wires breaker transitions into the campaign tracer. RunContext
-// calls it when the experiment's platform is a MultiPlatform.
-func (m *MultiPlatform) setTracer(tr *telemetry.Tracer) {
-	for _, b := range m.breakers {
-		b.SetOnTransition(func(name string, from, to resilient.State) {
-			tr.Breaker(name, from.String(), to.String())
-		})
-	}
-}
-
-// DeadPlatform is a permanently failing Platform: every Execute returns a
-// permanent error. It models a board that is wired into the pool but never
-// comes up, the canonical breaker-trip scenario of the fault-injection
-// tests and the chaos smoke target.
-type DeadPlatform struct {
-	// Reason customizes the error text (default "backend dead").
-	Reason string
-}
-
-// Execute implements Platform.
-func (d DeadPlatform) Execute(context.Context, *Experiment, *arm.Program, *core.State, *core.State, *rand.Rand) (Measurement, error) {
-	reason := d.Reason
-	if reason == "" {
-		reason = "backend dead"
-	}
-	return Measurement{}, resilient.MarkPermanent(fmt.Errorf("scamv: %s", reason))
 }

@@ -16,8 +16,7 @@ func FormatTable(results ...*Result) string {
 	// pre-resilience layout.
 	resilienceRows := false
 	for _, r := range results {
-		if r.SkippedTests > 0 || r.QuarantinedPrograms > 0 || r.Retries > 0 ||
-			r.Timeouts > 0 || r.BreakerTrips > 0 {
+		if r.SkippedTests > 0 || r.QuarantinedPrograms > 0 || r.Retries > 0 || r.Timeouts > 0 {
 			resilienceRows = true
 		}
 	}
@@ -42,7 +41,6 @@ func FormatTable(results ...*Result) string {
 			"- Quarantined",
 			"- Retries",
 			"- Timeouts",
-			"- Breaker trips",
 		)
 	}
 	cols = append(cols, head)
@@ -72,7 +70,6 @@ func FormatTable(results ...*Result) string {
 				fmt.Sprintf("%d", r.QuarantinedPrograms),
 				fmt.Sprintf("%d", r.Retries),
 				fmt.Sprintf("%d", r.Timeouts),
-				fmt.Sprintf("%d", r.BreakerTrips),
 			)
 		}
 		cols = append(cols, col)

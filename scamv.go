@@ -130,8 +130,8 @@ type Experiment struct {
 
 	// Platform executes experiments; nil means the simulator (SimPlatform)
 	// configured by Micro — by default the Cortex-A53-like core. A deployment
-	// against real hardware plugs in here — possibly wrapped in a
-	// MultiPlatform pool or a faultinject chaos platform.
+	// against real hardware plugs in here, as does a faultinject chaos
+	// platform.
 	Platform Platform
 
 	// Platforms, when non-empty, turns the campaign into a platform-matrix
@@ -292,14 +292,12 @@ type Result struct {
 	// untried remainder of quarantined programs); QuarantinedPrograms the
 	// programs cut off after QuarantineAfter consecutive failures; Skips
 	// the per-skip reasons in program order. Retries and Timeouts count
-	// resilience-layer events across the campaign; BreakerTrips the circuit
-	// breaker trips of a MultiPlatform pool.
+	// resilience-layer events across the campaign.
 	SkippedTests        int
 	QuarantinedPrograms int
 	Skips               []Skip
 	Retries             int
 	Timeouts            int
-	BreakerTrips        uint64
 
 	// RestoredPrograms counts the programs restored from a resumed
 	// campaign journal rather than executed in this process; they are
@@ -896,9 +894,6 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 		FirstCETest:    -1,
 	}
 	e.Trace.BeginCampaign(e.Name, e.Programs)
-	if mp, ok := e.Platform.(*MultiPlatform); ok {
-		mp.setTracer(e.Trace)
-	}
 	e.machines = machinesFor(e.Micro)
 	if err := buildRows(&e); err != nil {
 		return nil, err
@@ -943,11 +938,6 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 	}
 	if e.Drain != nil && e.drainRequested() && res.Programs < e.Programs {
 		res.Drained = true
-	}
-	// Harvest breaker trips from pooled platforms (MultiPlatform, or any
-	// custom platform exposing the same counter).
-	if bt, ok := e.Platform.(interface{ BreakerTrips() uint64 }); ok {
-		res.BreakerTrips = bt.BreakerTrips()
 	}
 	res.DebugAddr = e.Trace.DebugAddr()
 	return res, nil

@@ -140,7 +140,7 @@ func runStaged(ctx context.Context, e *Experiment, res *Result, start time.Time)
 	}, heavy, buf, genned)
 
 	// Expose the live pipeline to the observatory: the tracer's /metrics
-	// and SSE dashboard read busy/wait/stall through this source while the
+	// and /debug/scamv read busy/wait/stall through this source while the
 	// campaign runs, and the flight recorder's stall watchdog samples it.
 	// The coordinator's snapshots stay readable after the campaign, so the
 	// last campaign remains scrapeable until the next one re-registers.
