@@ -27,7 +27,7 @@ race:
 # Degrade: golden equality across repeat runs and Parallel 1 vs 4,
 # goroutine-leak check on cancel).
 chaos-smoke:
-	$(GO) test -race -count=1 ./internal/resilient ./internal/faultinject ./internal/stage
+	$(GO) test -race -count=1 ./internal/resilient ./internal/faultinject
 	$(GO) test -race -count=1 -run 'Chaos|DegradeHealthy|CancelDuring' .
 
 # Short coverage-guided fuzzing pass over the four differential oracles
@@ -109,10 +109,11 @@ bench:
 # (both -programs 30 -tests 10) at seeds 1-4 with -log, drops the gen_us and
 # exe_us timings, sorts the records and fails on any difference. Per seed,
 # one journal probe more: each binary runs -exp mpart at 30 x 10 with
-# -checkpoint DIR, then -resume DIR -log, which must restore every program
-# and generate none (its stages blocks show proggen out = 0), and the head
-# binary also resumes the base binary's DIR; all three resumed logs must
-# equal the base's plain -exp mpart log. Takes
+# -checkpoint DIR, then -resume DIR -log -trace, which must restore every
+# program and generate none (its trace holds no "stage":"proggen" span, which
+# a fresh run writes once per program), and the head binary also resumes the
+# base binary's DIR; all three resumed logs must equal the base's plain -exp
+# mpart log. Takes
 # about a minute on two CPUs; not part of ci. Usage: make log-identity
 # BASE=<rev>
 log-identity:
@@ -144,10 +145,11 @@ log-identity:
 	  same=1; \
 	  for run in base:base head:head head:base; do \
 	    bin=$${run%%:*}; dir=$${run#*:}; \
-	    "$$tmp/scamv-$$bin" $$jprobe -resume "$$tmp/j-$$dir" -log "$$tmp/resumed.jsonl" >"$$tmp/resumed.out"; \
-	    if ! awk '$$1 == "proggen" && $$4 != 0 { n++ } END { exit n > 0 }' "$$tmp/resumed.out"; then \
+	    "$$tmp/scamv-$$bin" $$jprobe -resume "$$tmp/j-$$dir" -log "$$tmp/resumed.jsonl" -trace "$$tmp/resumed-trace.jsonl" >/dev/null; \
+	    if grep -q '"stage":"proggen"' "$$tmp/resumed-trace.jsonl"; then \
 	      echo "DIFFERS: seed $$seed journal probe, $$bin binary resuming $$dir's journal generated programs"; same=0; fail=1; \
 	    fi; \
+	    rm "$$tmp/resumed-trace.jsonl"; \
 	    for f in plain resumed; do \
 	      sed -E 's/"(gen_us|exe_us)":[^,}]*,?//g' "$$tmp/$$f.jsonl" | sort >"$$tmp/$$f.txt"; \
 	    done; \

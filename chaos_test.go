@@ -7,14 +7,23 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"scamv"
+	"scamv/internal/arm"
+	"scamv/internal/core"
 	"scamv/internal/faultinject"
+	"scamv/internal/journal"
+	"scamv/internal/logdb"
 	"scamv/internal/telemetry"
 )
 
@@ -257,5 +266,70 @@ func TestCancelDuringChaosHangDoesNotLeak(t *testing.T) {
 		buf := make([]byte, 1<<20)
 		n := runtime.Stack(buf, true)
 		t.Fatalf("goroutines leaked after cancel: before=%d after=%d\n%s", before, after, buf[:n])
+	}
+}
+
+// startRecorder is the simulator, recording which programs reached Execute.
+type startRecorder struct {
+	mu      sync.Mutex
+	started map[int]bool
+}
+
+func (s *startRecorder) Execute(ctx context.Context, e *scamv.Experiment, prog *arm.Program, st, train *core.State, noise *rand.Rand) (scamv.Measurement, error) {
+	s.mu.Lock()
+	s.started[programIndex(prog.Name)] = true
+	s.mu.Unlock()
+	return scamv.SimPlatform{}.Execute(ctx, e, prog, st, train, noise)
+}
+
+// TestRunAbortsOnAppendFailure: an experiment-log or journal append failing
+// mid-campaign (an injected ENOSPC) aborts the run with that error, starts
+// no further programs, and leaves no goroutine behind.
+func TestRunAbortsOnAppendFailure(t *testing.T) {
+	const programs = 48
+	for _, tc := range []struct {
+		name string
+		arm  func(t *testing.T, e *scamv.Experiment)
+	}{
+		// The log buffers 4 KiB before its first write reaches the file, so
+		// the fault lands a few programs in.
+		{"log", func(t *testing.T, e *scamv.Experiment) {
+			f, err := os.Create(filepath.Join(t.TempDir(), "log.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Log = logdb.NewWriter(faultinject.NewFaultWriter(f, faultinject.FSPlan{FailWriteAt: 1}))
+			t.Cleanup(func() { e.Log.Close() })
+		}},
+		// Write 1 is the journal header; write 4 appends the third program.
+		{"journal", func(t *testing.T, e *scamv.Experiment) {
+			fs := faultinject.NewFaultFS(nil, faultinject.FSPlan{FailWriteAt: 4})
+			j, err := journal.Open(t.TempDir(), e.Name, journal.Options{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Journal = j
+			t.Cleanup(func() { j.Close() })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e, _ := scamv.MPartExperiments(false, programs, 4, 2021)
+			e.Repeats = 1
+			e.Parallel = 4
+			rec := &startRecorder{started: map[int]bool{}}
+			e.Platform = rec
+			tc.arm(t, &e)
+			if _, err := scamv.Run(e); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("err = %v, want the injected ENOSPC", err)
+			}
+			rec.mu.Lock()
+			started := len(rec.started)
+			rec.mu.Unlock()
+			if started == programs {
+				t.Errorf("all %d programs started after the append failure", programs)
+			}
+			scamv.AssertNoGoroutinesLeft(t, before)
+		})
 	}
 }

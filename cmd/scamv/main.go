@@ -15,7 +15,7 @@
 //	                               # effort regressions, verdict drift
 //	scamv -debug-addr :6060        # /metrics, /debug/scamv, pprof
 //	scamv -flight-dir flights      # anomaly flight recorder: ring + goroutine
-//	                               # dump bundles on slow queries and stalls
+//	                               # dump bundles on slow queries
 //	scamv -chaos heavy -fail-policy degrade -retries 2 -exec-timeout 100ms
 //	                               # fault-injected campaign that degrades
 //	                               # instead of aborting
@@ -68,7 +68,7 @@ func run() int {
 		report    = flag.String("report", "", "analyse a previously written log or trace file and exit")
 		reportDif = flag.String("report-diff", "", "diff this baseline trace against the trace given as the positional argument, then exit")
 		strict    = flag.Bool("strict", false, "with -report/-report-diff: fail on a torn trailing line instead of dropping it with a warning")
-		parallel  = flag.Int("parallel", runtime.NumCPU(), "per-stage worker budget (programs in flight)")
+		parallel  = flag.Int("parallel", runtime.NumCPU(), "programs in flight")
 		trace     = flag.String("trace", "", "write a JSONL telemetry trace (spans, solver queries, verdicts) to this file")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/scamv and /debug/pprof on this address")
 		progress  = flag.Bool("progress", false, "print a live progress line on stderr")

@@ -102,15 +102,13 @@ func resumeGoldenOf(r *scamv.Result) resumeGolden {
 }
 
 // crashCampaign is the shared campaign under test: small enough for CI,
-// with the platform matrix on. One program larger than the staged
-// pipeline's in-flight capacity (scamv.StageCapacity: 35 programs at
-// Parallel 4), so a drain or kill lands while the staged engine still has
-// unproduced programs.
+// with the platform matrix on, and long enough (36 programs at Parallel 4)
+// that a drain or kill lands while programs are still to be generated.
 func crashCampaign() scamv.Experiment {
 	u, _ := scamv.MPartExperiments(false, 24, 5, 2021)
 	u.Repeats = 2
 	u.Parallel = 4
-	u.Programs = scamv.StageCapacity(&u) + 1
+	u.Programs = 36
 	plats, err := scamv.PlatformsFromPresets("a53", "a72")
 	if err != nil {
 		panic(err)
@@ -172,8 +170,8 @@ func loadLogNormalized(t *testing.T, path string) []logdb.Record {
 // a journaled campaign by a graceful drain partway through, resume it in a
 // second "process" (a fresh journal open), and require the stitched Result —
 // counts, matrix rows, skips — and the experiment log to
-// equal an uninterrupted run's. The subtest is named after the engine it
-// exercises, the staged pipeline.
+// equal an uninterrupted run's. The subtest keeps the name of the engine it
+// was written for.
 func TestResumeEquivalence(t *testing.T) {
 	t.Run("staged", func(t *testing.T) { testResumeEquivalence(t, nil) })
 }
@@ -295,10 +293,8 @@ func testResumeEquivalence(t *testing.T, beforeResume func(t *testing.T, cdir st
 func TestResumeEquivalenceDegradeChaos(t *testing.T) {
 	chaotic := func() scamv.Experiment {
 		e := chaosExperiment(4)
-		// Enough programs that the staged pipeline cannot absorb the whole
-		// campaign in its stage buffers before the drain fires (see
-		// crashCampaign for the same sizing argument; the buffers hold
-		// roughly 20 items, so 20 was not enough).
+		// Enough programs that the drain, after 15 executions, lands with
+		// programs still to be generated.
 		e.Programs = 40
 		return e
 	}
@@ -438,11 +434,14 @@ func exitCode(err error) int {
 	return -1
 }
 
-// TestCrashSIGKILLChaos is the kill-at-random-point proof:
-// repeatedly start a journaled campaign in a subprocess, SIGKILL it after an
-// escalating delay, and resume — the Result assembled across the carcasses
-// must equal an uninterrupted in-process run's. The subtest is named after
-// the engine it exercises, the staged pipeline.
+// TestCrashSIGKILLChaos is the kill-mid-campaign proof: repeatedly start a
+// journaled campaign in a subprocess, SIGKILL it, and resume — the Result
+// assembled across the carcasses must equal an uninterrupted in-process
+// run's. The child runs behind an admitGate: before attempt n the parent
+// admits n programs, waits until the journal holds n records and kills the
+// child while the programs above n are held, so every kill interrupts a
+// campaign with programs left. The subtest keeps the name of the engine it
+// was written for.
 func TestCrashSIGKILLChaos(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX signals required")
@@ -457,33 +456,27 @@ func testCrashSIGKILLChaos(t *testing.T) {
 	want := resumeGoldenOf(mustRun(t, crashCampaign()))
 
 	dir := t.TempDir()
-	delays := []time.Duration{
-		20 * time.Millisecond, 40 * time.Millisecond, 60 * time.Millisecond,
-		90 * time.Millisecond, 140 * time.Millisecond, 220 * time.Millisecond,
-		350 * time.Millisecond, 600 * time.Millisecond, time.Second,
-	}
-	completed := false
-	for attempt := 0; attempt < len(delays)+1 && !completed; attempt++ {
-		cmd := crashChildCmd(dir, false)
-		if attempt < len(delays) {
-			if err := cmd.Start(); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(delays[attempt])
-			_ = cmd.Process.Kill() // SIGKILL; may race a clean exit
-			code := exitCode(cmd.Wait())
-			if code == 0 {
-				completed = true
-			}
-			t.Logf("attempt %d: killed after %v (exit %d)", attempt, delays[attempt], code)
-		} else {
-			// Last attempt runs to completion.
-			out, err := cmd.CombinedOutput()
-			if err != nil {
-				t.Fatalf("final resume run failed: %v\n%s", err, out)
-			}
-			completed = true
+	cdir := filepath.Join(dir, journal.Sanitize(crashCampaign().Name))
+	const kills = 9
+	for n := 1; n <= kills; n++ {
+		admit(t, cdir, n)
+		cmd, exited, stderr := startGatedChild(t, dir, false)
+		awaitJournal(t, cdir, n, cmd, exited, stderr)
+		_ = cmd.Process.Kill() // SIGKILL
+		if code := exitCode(<-exited); code != -1 {
+			t.Fatalf("attempt %d: child exited %d before the kill, want killed by the signal\n%s", n, code, stderr.Bytes())
 		}
+		if got := journalRecords(t, filepath.Join(cdir, "journal.jsonl")); got != n {
+			t.Fatalf("attempt %d: journal holds %d records after the kill, want %d", n, got, n)
+		}
+		t.Logf("attempt %d: killed with %d of %d programs journaled", n, n, crashCampaign().Programs)
+	}
+	// Last attempt runs to completion.
+	admit(t, cdir, crashCampaign().Programs)
+	cmd := crashChildCmd(dir, false)
+	cmd.Env = append(cmd.Env, "SCAMV_CRASH_GATE=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("final resume run failed: %v\n%s", err, out)
 	}
 
 	// Verify the assembled journal in-process: a resume restores every
@@ -506,12 +499,45 @@ func testCrashSIGKILLChaos(t *testing.T) {
 	}
 }
 
+// startGatedChild starts a crash child behind its admitGate, returning the
+// command, a channel that receives its Wait result, and its stderr.
+func startGatedChild(t *testing.T, dir string, armSignals bool) (*exec.Cmd, <-chan error, *bytes.Buffer) {
+	t.Helper()
+	cmd := crashChildCmd(dir, armSignals)
+	cmd.Env = append(cmd.Env, "SCAMV_CRASH_GATE=1")
+	stderr := new(bytes.Buffer)
+	cmd.Stderr = stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	return cmd, exited, stderr
+}
+
+// awaitJournal polls the campaign's journal until it holds n program
+// records, failing the test if the child exits first or two minutes pass.
+func awaitJournal(t *testing.T, cdir string, n int, cmd *exec.Cmd, exited <-chan error, stderr *bytes.Buffer) {
+	t.Helper()
+	deadline := time.After(2 * time.Minute)
+	for journalRecords(t, filepath.Join(cdir, "journal.jsonl")) < n {
+		select {
+		case err := <-exited:
+			t.Fatalf("child exited %d before journaling %d programs\n%s", exitCode(err), n, stderr.Bytes())
+		case <-deadline:
+			_ = cmd.Process.Kill()
+			t.Fatalf("child journaled fewer than %d programs within 2 minutes", n)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
 // TestGracefulSIGINT drives the two-signal shutdown protocol end to end in a
 // subprocess: one SIGINT drains and exits with the resumable status code,
 // and a subsequent resume completes the campaign with the uninterrupted
-// Result. The child's releaseGate holds every program after the first until
-// the parent, having seen a journal record and sent the signal, creates the
-// release file, so the signal always lands mid-campaign.
+// Result. The child's admitGate admits only the first program until the
+// parent, having seen its journal record and sent the signal, admits them
+// all, so the signal always lands mid-campaign.
 func TestGracefulSIGINT(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX signals required")
@@ -523,32 +549,13 @@ func TestGracefulSIGINT(t *testing.T) {
 
 	dir := t.TempDir()
 	cdir := filepath.Join(dir, journal.Sanitize(crashCampaign().Name))
-	cmd := crashChildCmd(dir, true)
-	cmd.Env = append(cmd.Env, "SCAMV_CRASH_GATE=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	deadline := time.After(2 * time.Minute)
-	for journalRecords(t, filepath.Join(cdir, "journal.jsonl")) < 1 {
-		select {
-		case err := <-exited:
-			t.Fatalf("child exited %d before journaling a program\n%s", exitCode(err), stderr.Bytes())
-		case <-deadline:
-			_ = cmd.Process.Kill()
-			t.Fatal("child journaled no program within 2 minutes")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
+	admit(t, cdir, 1)
+	cmd, exited, stderr := startGatedChild(t, dir, true)
+	awaitJournal(t, cdir, 1, cmd, exited, stderr)
 	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(cdir, releaseFile), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	admit(t, cdir, crashCampaign().Programs)
 	if code := exitCode(<-exited); code != 3 {
 		t.Fatalf("interrupted child exited %d, want 3 (drained)\n%s", code, stderr.Bytes())
 	}

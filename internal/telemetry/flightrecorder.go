@@ -3,10 +3,9 @@ package telemetry
 // The flight recorder is the "deep evidence on demand" half of the
 // observatory: cheap aggregates run all the time (/metrics, the progress
 // line), and when an anomaly fires — a solver query far past the campaign's
-// own p99, a pipeline stage stalling on backpressure — the recorder
-// snapshots a bounded lock-free ring of the most recent trace records, the
-// live counters, a goroutine dump, and optionally a short CPU profile into a
-// timestamped bundle directory. The design follows
+// own p99 — the recorder snapshots a bounded lock-free ring of the most
+// recent trace records, the live counters, a goroutine dump, and optionally a
+// short CPU profile into a timestamped bundle directory. The design follows
 // the targeted-diagnosis philosophy of per-site mitigation work: pay for
 // detail exactly when something is wrong, nothing the rest of the time.
 //
@@ -52,14 +51,6 @@ type FlightConfig struct {
 	// slow-query trigger arms (default 128) — p99 of ten queries is noise.
 	MinQuerySamples int64
 
-	// StallThreshold arms the stage-stall trigger: a pipeline stage whose
-	// backpressure stall grows by more than this within one SampleInterval
-	// captures a bundle (default 2s, i.e. badly stalled for a whole tick
-	// across workers). Negative disables the trigger.
-	StallThreshold time.Duration
-	// SampleInterval is the stall watchdog's sampling period (default 1s).
-	SampleInterval time.Duration
-
 	// Cooldown is the minimum spacing between automatic captures (default
 	// 10s); MaxCaptures caps them per recorder (default 16). ForceCapture
 	// bypasses both.
@@ -86,12 +77,6 @@ func (c FlightConfig) withDefaults() FlightConfig {
 	if c.MinQuerySamples <= 0 {
 		c.MinQuerySamples = 128
 	}
-	if c.StallThreshold == 0 {
-		c.StallThreshold = 2 * time.Second
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = time.Second
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 10 * time.Second
 	}
@@ -112,9 +97,8 @@ type FlightRecorder struct {
 	slots  []atomic.Pointer[Record]
 	cursor atomic.Int64
 
-	// Watermark gauges: the worst observations seen so far.
+	// Watermark gauge: the slowest query seen so far.
 	maxQueryUS atomic.Int64
-	maxStallUS atomic.Int64
 
 	captures  atomic.Int64 // capture attempts admitted
 	lastCapUS atomic.Int64 // wall clock (unix µs) of the last admitted capture
@@ -125,29 +109,19 @@ type FlightRecorder struct {
 	lastBundle string
 	lastErr    error
 
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	wg sync.WaitGroup // in-flight bundle writes
 }
 
-// StartFlightRecorder attaches a flight recorder to the tracer and starts
-// its stall watchdog. A recorder attached earlier is replaced (it should be
-// stopped first). Returns nil on a nil tracer.
+// StartFlightRecorder attaches a flight recorder to the tracer. A recorder
+// attached earlier is replaced (it should be stopped first). Returns nil on a
+// nil tracer.
 func (t *Tracer) StartFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	if t == nil {
 		return nil
 	}
-	fr := &FlightRecorder{
-		cfg:  cfg.withDefaults(),
-		tr:   t,
-		stop: make(chan struct{}),
-	}
+	fr := &FlightRecorder{cfg: cfg.withDefaults(), tr: t}
 	fr.slots = make([]atomic.Pointer[Record], fr.cfg.RingSize)
 	t.fr.Store(fr)
-	if fr.cfg.StallThreshold > 0 {
-		fr.wg.Add(1)
-		go fr.watch()
-	}
 	return fr
 }
 
@@ -159,16 +133,13 @@ func (t *Tracer) FlightRecorder() *FlightRecorder {
 	return t.fr.Load()
 }
 
-// Stop detaches the recorder from its tracer and waits for the watchdog and
-// any in-flight bundle write to finish. Idempotent.
+// Stop detaches the recorder from its tracer and waits for any in-flight
+// bundle write to finish. Idempotent.
 func (fr *FlightRecorder) Stop() {
 	if fr == nil {
 		return
 	}
-	fr.stopOnce.Do(func() {
-		close(fr.stop)
-		fr.tr.fr.CompareAndSwap(fr, nil)
-	})
+	fr.tr.fr.CompareAndSwap(fr, nil)
 	fr.wg.Wait()
 }
 
@@ -192,33 +163,6 @@ func (fr *FlightRecorder) noteQuery(d time.Duration, hist *Histogram) {
 	_, _, p99 := hist.Quantiles()
 	if p99 > 0 && d > time.Duration(fr.cfg.QueryLatencyFactor)*p99 {
 		fr.TriggerCapture(fmt.Sprintf("slow-query %s > %dx p99 %s", d, fr.cfg.QueryLatencyFactor, p99))
-	}
-}
-
-// watch is the stall watchdog: it samples the live pipeline metrics every
-// SampleInterval and captures when any stage's backpressure stall grows by
-// more than StallThreshold within one interval.
-func (fr *FlightRecorder) watch() {
-	defer fr.wg.Done()
-	tick := time.NewTicker(fr.cfg.SampleInterval)
-	defer tick.Stop()
-	prev := make(map[string]int64)
-	threshold := fr.cfg.StallThreshold.Microseconds()
-	for {
-		select {
-		case <-fr.stop:
-			return
-		case <-tick.C:
-			for _, ps := range fr.tr.pipelineSnapshot() {
-				watermark(&fr.maxStallUS, ps.StallUS)
-				delta := ps.StallUS - prev[ps.Name]
-				prev[ps.Name] = ps.StallUS
-				if delta > threshold {
-					fr.TriggerCapture(fmt.Sprintf("stage-stall %s +%s/%s", ps.Name,
-						time.Duration(delta)*time.Microsecond, fr.cfg.SampleInterval))
-				}
-			}
-		}
 	}
 }
 
@@ -308,9 +252,8 @@ type FlightStatus struct {
 	LastReason string `json:"last_reason,omitempty"`
 	LastBundle string `json:"last_bundle,omitempty"`
 	LastError  string `json:"last_error,omitempty"`
-	// Watermark gauges: worst observations so far.
+	// Watermark gauge: slowest query so far.
 	MaxQueryUS int64 `json:"max_query_us"`
-	MaxStallUS int64 `json:"max_stall_us"`
 }
 
 // Status reports the recorder's counters and watermarks.
@@ -329,7 +272,6 @@ func (fr *FlightRecorder) Status() FlightStatus {
 		Dropped:    dropped,
 		Captures:   fr.captures.Load(),
 		MaxQueryUS: fr.maxQueryUS.Load(),
-		MaxStallUS: fr.maxStallUS.Load(),
 	}
 	fr.lastMu.Lock()
 	st.LastReason, st.LastBundle = fr.lastReason, fr.lastBundle

@@ -5,14 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
 func TestFlightRingOverwrite(t *testing.T) {
 	tr := New(nil)
-	fr := tr.StartFlightRecorder(FlightConfig{RingSize: 8, StallThreshold: -1})
+	fr := tr.StartFlightRecorder(FlightConfig{RingSize: 8})
 	defer fr.Stop()
 
 	for i := 0; i < 20; i++ {
@@ -49,7 +48,6 @@ func TestFlightSlowQueryTrigger(t *testing.T) {
 		QueryLatencyFactor: 4,
 		QueryLatencyFloor:  time.Microsecond,
 		MinQuerySamples:    16,
-		StallThreshold:     -1,
 	})
 	defer fr.Stop()
 
@@ -118,57 +116,13 @@ func assertBundle(t *testing.T, dir, wantReason string) {
 	}
 }
 
-func TestFlightStallWatchdog(t *testing.T) {
-	dir := t.TempDir()
-	tr := New(nil)
-	// A fake pipeline whose execute stage accrues 1s of stall per read —
-	// every watchdog tick sees a delta over the 500ms threshold.
-	var mu sync.Mutex
-	stall := time.Duration(0)
-	tr.SetPipelineSource(func() []PipelineStage {
-		mu.Lock()
-		defer mu.Unlock()
-		stall += time.Second
-		return []PipelineStage{{Name: "execute", Workers: 1, StallUS: stall.Microseconds()}}
-	})
-	fr := tr.StartFlightRecorder(FlightConfig{
-		RingSize:       16,
-		Dir:            dir,
-		StallThreshold: 500 * time.Millisecond,
-		SampleInterval: 10 * time.Millisecond,
-	})
-	tr.Verdict(0, 0, "ok", time.Millisecond) // something for the ring
-
-	deadline := time.Now().Add(5 * time.Second)
-	for fr.Status().Captures == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	fr.Stop()
-
-	st := fr.Status()
-	if st.Captures == 0 {
-		t.Fatal("stall watchdog never captured")
-	}
-	if !strings.HasPrefix(st.LastReason, "stage-stall execute") {
-		t.Errorf("reason = %q, want stage-stall execute*", st.LastReason)
-	}
-	if st.MaxStallUS == 0 {
-		t.Error("stall watermark not raised")
-	}
-	if st.LastError != "" {
-		t.Fatalf("bundle write failed: %s", st.LastError)
-	}
-	assertBundle(t, st.LastBundle, "stage-stall")
-}
-
 func TestFlightTriggerCooldown(t *testing.T) {
 	dir := t.TempDir()
 	tr := New(nil)
 	fr := tr.StartFlightRecorder(FlightConfig{
-		RingSize:       16,
-		Dir:            dir,
-		StallThreshold: -1,
-		Cooldown:       time.Hour,
+		RingSize: 16,
+		Dir:      dir,
+		Cooldown: time.Hour,
 	})
 
 	if !fr.TriggerCapture("x") {
@@ -193,7 +147,7 @@ func TestFlightTriggerCooldown(t *testing.T) {
 
 func TestFlightForceCaptureWithoutDir(t *testing.T) {
 	tr := New(nil)
-	fr := tr.StartFlightRecorder(FlightConfig{RingSize: 4, StallThreshold: -1})
+	fr := tr.StartFlightRecorder(FlightConfig{RingSize: 4})
 	defer fr.Stop()
 	if _, err := fr.ForceCapture("manual"); err == nil {
 		t.Fatal("ForceCapture without a bundle dir must fail")
@@ -207,11 +161,10 @@ func TestFlightMaxCapturesCap(t *testing.T) {
 	dir := t.TempDir()
 	tr := New(nil)
 	fr := tr.StartFlightRecorder(FlightConfig{
-		RingSize:       4,
-		Dir:            dir,
-		StallThreshold: -1,
-		Cooldown:       time.Nanosecond,
-		MaxCaptures:    2,
+		RingSize:    4,
+		Dir:         dir,
+		Cooldown:    time.Nanosecond,
+		MaxCaptures: 2,
 	})
 	admitted := 0
 	for i := 0; i < 10; i++ {

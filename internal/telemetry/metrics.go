@@ -64,18 +64,9 @@ var platformFamilies = []family[PlatformCount]{
 }
 
 // Stage-level work accounting. Busy comes from the span histograms, so it
-// exists whenever spans were traced; wait/stall/items/workers come from the
-// staged engine's live pipeline source when one is registered.
+// exists whenever spans were traced.
 var stageFamilies = []family[StageCount]{
 	{"scamv_stage_busy_seconds_total", "counter", "Work time inside each pipeline stage, summed over workers.", func(s *StageCount) int64 { return s.BusyUS }},
-}
-
-var pipelineFamilies = []family[PipelineStage]{
-	{"scamv_stage_wait_seconds_total", "counter", "Input starvation per stage: time blocked receiving upstream items.", func(s *PipelineStage) int64 { return s.WaitUS }},
-	{"scamv_stage_stall_seconds_total", "counter", "Output backpressure per stage: time blocked sending downstream.", func(s *PipelineStage) int64 { return s.StallUS }},
-	{"scamv_stage_items_in_total", "counter", "Items received per stage.", func(s *PipelineStage) int64 { return s.In }},
-	{"scamv_stage_items_out_total", "counter", "Items emitted per stage.", func(s *PipelineStage) int64 { return s.Out }},
-	{"scamv_stage_workers", "gauge", "Worker-pool size per stage.", func(s *PipelineStage) int64 { return int64(s.Workers) }},
 }
 
 var flightFamilies = []family[FlightStatus]{
@@ -83,7 +74,6 @@ var flightFamilies = []family[FlightStatus]{
 	{"scamv_flight_dropped_total", "counter", "Ring records overwritten by newer ones.", func(f *FlightStatus) int64 { return f.Dropped }},
 	{"scamv_flight_captures_total", "counter", "Anomaly bundles captured.", func(f *FlightStatus) int64 { return f.Captures }},
 	{"scamv_flight_max_query_seconds", "gauge", "Slowest solver query observed (watermark).", func(f *FlightStatus) int64 { return f.MaxQueryUS }},
-	{"scamv_flight_max_stall_seconds", "gauge", "Largest cumulative stage stall observed (watermark).", func(f *FlightStatus) int64 { return f.MaxStallUS }},
 }
 
 // writeFamilies renders each family with one sample per row, labelled
@@ -117,7 +107,6 @@ func (t *Tracer) WriteMetrics(w io.Writer) {
 	writeFamilies(m, scalarFamilies, []Counters{c}, "", nil)
 	writeFamilies(m, platformFamilies, c.Platforms, "platform", func(p *PlatformCount) string { return p.Name })
 	writeFamilies(m, stageFamilies, c.Stages, "stage", func(s *StageCount) string { return s.Name })
-	writeFamilies(m, pipelineFamilies, c.Pipeline, "stage", func(s *PipelineStage) string { return s.Name })
 
 	// Native histograms from the fixed log2 buckets.
 	if t != nil {

@@ -172,12 +172,6 @@ func TestWriteMetricsParsesAndCounts(t *testing.T) {
 	tr.PlatformVerdict(0, 0, "a53", "counterexample", time.Millisecond)
 	tr.PlatformVerdict(0, 0, "a72", "ok", time.Millisecond)
 	tr.ProgramDone()
-	tr.SetPipelineSource(func() []PipelineStage {
-		return []PipelineStage{
-			{Name: "testgen", Workers: 2, In: 1, Out: 1,
-				BusyUS: 3000, WaitUS: 1000, StallUS: 2000},
-		}
-	})
 
 	var buf bytes.Buffer
 	tr.WriteMetrics(&buf)
@@ -194,8 +188,6 @@ func TestWriteMetricsParsesAndCounts(t *testing.T) {
 		"scamv_blast_cache_misses_total{}|le=":                     1,
 		`scamv_platform_counterexamples_total{platform="a53"}|le=`: 1,
 		`scamv_platform_experiments_total{platform="a72"}|le=`:     1,
-		`scamv_stage_items_in_total{stage="testgen"}|le=`:          1,
-		`scamv_stage_workers{stage="testgen"}|le=`:                 2,
 		`scamv_query_duration_seconds_count{}|le=`:                 2,
 	}
 	for series, v := range want {
@@ -205,9 +197,6 @@ func TestWriteMetricsParsesAndCounts(t *testing.T) {
 		} else if got != v {
 			t.Errorf("%s = %v, want %v", series, got, v)
 		}
-	}
-	if got := samples[`scamv_stage_stall_seconds_total{stage="testgen"}|le=`]; got != 0.002 {
-		t.Errorf("stall seconds = %v, want 0.002", got)
 	}
 
 	// The per-stage histogram family must carry one bucket series per stage.

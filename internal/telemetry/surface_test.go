@@ -36,10 +36,7 @@ func surfaceTracer(t *testing.T, dir string) *Tracer {
 	tr.Skip(1, 1, "retries exhausted")
 	tr.Quarantine(2, "failures")
 	tr.ProgramDone()
-	tr.SetPipelineSource(func() []PipelineStage {
-		return []PipelineStage{{Name: "testgen", Workers: 2, In: 1, Out: 1}}
-	})
-	fr := tr.StartFlightRecorder(FlightConfig{RingSize: 16, Dir: dir, StallThreshold: -1})
+	fr := tr.StartFlightRecorder(FlightConfig{RingSize: 16, Dir: dir})
 	t.Cleanup(fr.Stop)
 	return tr
 }
@@ -81,10 +78,8 @@ var wireKeys = []string{
 	"ack_reads", "blast_hits", "blast_misses",
 	"conflicts", "counterexamples", "decisions", "elapsed_us", "experiments",
 	"flight", "flight.captures", "flight.dropped", "flight.events",
-	"flight.max_query_us", "flight.max_stall_us", "flight.ring_size",
+	"flight.max_query_us", "flight.ring_size",
 	"inconclusive",
-	"pipeline", "pipeline[].busy_us", "pipeline[].in", "pipeline[].name",
-	"pipeline[].out", "pipeline[].stall_us", "pipeline[].wait_us", "pipeline[].workers",
 	"platforms", "platforms[].counterexamples", "platforms[].experiments",
 	"platforms[].inconclusive", "platforms[].name",
 	"programs", "propagations", "quarantines", "queries",
@@ -140,7 +135,7 @@ func TestWireDocumentKeys(t *testing.T) {
 		}
 	}
 	bundleKeys = append(bundleKeys, "captured_at", "counters", "flight", "flight.captures",
-		"flight.dropped", "flight.events", "flight.max_query_us", "flight.max_stall_us",
+		"flight.dropped", "flight.events", "flight.max_query_us",
 		"flight.ring_size", "reason")
 	sort.Strings(bundleKeys)
 	assertKeys(t, "counters.json", doc, bundleKeys)

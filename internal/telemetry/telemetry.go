@@ -181,56 +181,11 @@ type Tracer struct {
 	order    []*stageAgg // first-seen order
 
 	// Observability plane (no schema impact): the optional flight recorder
-	// ring, the live pipeline-metrics source registered by the staged
-	// engine, and the actually-bound debug address of -debug-addr.
+	// ring and the actually-bound debug address of -debug-addr.
 	fr atomic.Pointer[FlightRecorder]
-
-	pipeMu  sync.Mutex
-	pipeSrc func() []PipelineStage
 
 	addrMu    sync.Mutex
 	debugAddr string
-}
-
-// PipelineStage is one live pipeline-stage snapshot: the staged engine's
-// busy/wait/stall counters surfaced while the campaign runs (Result.Stages
-// only materializes at the end). Wait is input starvation, Stall is output
-// backpressure — the pair that ranks the bottleneck stage live.
-type PipelineStage struct {
-	Name    string `json:"name"`
-	Workers int    `json:"workers"`
-	In      int64  `json:"in"`
-	Out     int64  `json:"out"`
-	BusyUS  int64  `json:"busy_us"`
-	WaitUS  int64  `json:"wait_us"`
-	StallUS int64  `json:"stall_us"`
-}
-
-// SetPipelineSource registers a live per-stage metrics provider (the staged
-// engine's coordinator). The source is called on every Snapshot; it must be
-// safe for concurrent use. A later campaign on the same tracer replaces the
-// source; the last campaign's pipeline stays scrapeable after it finishes.
-func (t *Tracer) SetPipelineSource(fn func() []PipelineStage) {
-	if t == nil {
-		return
-	}
-	t.pipeMu.Lock()
-	t.pipeSrc = fn
-	t.pipeMu.Unlock()
-}
-
-// pipelineSnapshot reads the live pipeline metrics, if a source is set.
-func (t *Tracer) pipelineSnapshot() []PipelineStage {
-	if t == nil {
-		return nil
-	}
-	t.pipeMu.Lock()
-	fn := t.pipeSrc
-	t.pipeMu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn()
 }
 
 // SetDebugAddr records the actually-bound address of the -debug-addr
@@ -581,12 +536,6 @@ type Counters struct {
 	// Platforms holds per-platform verdict aggregates of matrix campaigns,
 	// sorted by platform name; empty for single-platform campaigns.
 	Platforms []PlatformCount `json:"platforms,omitempty"`
-
-	// Pipeline holds the staged engine's live per-stage busy/wait/stall
-	// metrics when a campaign registered a source via SetPipelineSource;
-	// nil for idle tracers. Unlike Stages (span
-	// durations), Pipeline carries starvation and backpressure.
-	Pipeline []PipelineStage `json:"pipeline,omitempty"`
 }
 
 // Snapshot copies the live aggregates. Safe to call while the campaign runs.
@@ -628,7 +577,6 @@ func (t *Tracer) Snapshot() Counters {
 	for _, a := range t.stageOrder() {
 		c.Stages = append(c.Stages, a.hist.Summary(a.name))
 	}
-	c.Pipeline = t.pipelineSnapshot()
 	return c
 }
 
@@ -642,8 +590,7 @@ func (t *Tracer) stageOrder() []*stageAgg {
 // Replay runs loaded trace records through the live aggregator and returns
 // the counters a Tracer that had emitted them would hold. Two fields have no
 // trace record and differ from the live Snapshot: ElapsedUS is zero, and
-// Programs counts only resumed programs (completions are not traced). A
-// replay has no pipeline source, so Pipeline is nil.
+// Programs counts only resumed programs (completions are not traced).
 func Replay(recs []Record) Counters {
 	t := New(nil)
 	for i := range recs {

@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,9 +32,8 @@ func TestMain(m *testing.M) {
 // prior state (a fresh directory degrades to a fresh start, so the same
 // child serves first runs, post-kill resumes, and post-drain resumes).
 // Exit codes mirror cmd/scamv: 0 complete, 3 drained (resumable), 1 error,
-// 130 on a second interrupt. With SCAMV_CRASH_GATE=1 the child runs at
-// Parallel 1 behind a releaseGate whose release file is releaseFile in the
-// campaign directory.
+// 130 on a second interrupt. With SCAMV_CRASH_GATE=1 the child's platform is
+// an admitGate reading admitFile in the campaign directory.
 func crashChild(dir string) int {
 	e := crashCampaign()
 	if os.Getenv("SCAMV_CRASH_ARM") == "1" {
@@ -47,10 +46,7 @@ func crashChild(dir string) int {
 	}
 	e.Journal = j
 	if os.Getenv("SCAMV_CRASH_GATE") == "1" {
-		// At Parallel 1 every stage has one worker, so programs reach
-		// Execute in program order and the first program seen is program 0.
-		e.Parallel = 1
-		e.Platform = &releaseGate{release: filepath.Join(j.Dir(), releaseFile)}
+		e.Platform = &admitGate{path: filepath.Join(j.Dir(), admitFile)}
 	}
 	r, err := scamv.Run(e)
 	cerr := j.Close()
@@ -68,33 +64,21 @@ func crashChild(dir string) int {
 	return 0
 }
 
-// releaseFile names the file whose appearance in the campaign directory
-// opens a crash child's releaseGate.
-const releaseFile = "release"
+// admitFile names the file, in the campaign directory, that holds the number
+// of programs a crash child's admitGate lets execute.
+const admitFile = "admit"
 
-// releaseGate is a Platform that runs the first program's Execute calls and
-// holds every later program's until the release file exists. A signal sent
-// once the journal holds a record then always lands mid-campaign: the
-// campaign cannot finish before the parent lets it go.
-type releaseGate struct {
-	release  string
-	released atomic.Bool
-	mu       sync.Mutex
-	first    string
+// admitGate is a Platform that holds every program whose index is at or
+// above the count in its admit file (all of them while the file is missing)
+// until the parent raises the count. Programs below the count run and are
+// journaled, so a signal sent once the journal holds that many records
+// always lands mid-campaign, with programs left to run.
+type admitGate struct {
+	path string
 }
 
-func (g *releaseGate) Execute(ctx context.Context, e *scamv.Experiment, prog *arm.Program, st, train *core.State, noise *rand.Rand) (scamv.Measurement, error) {
-	g.mu.Lock()
-	if g.first == "" {
-		g.first = prog.Name
-	}
-	first := g.first == prog.Name
-	g.mu.Unlock()
-	for !first && !g.released.Load() {
-		if _, err := os.Stat(g.release); err == nil {
-			g.released.Store(true)
-			break
-		}
+func (g *admitGate) Execute(ctx context.Context, e *scamv.Experiment, prog *arm.Program, st, train *core.State, noise *rand.Rand) (scamv.Measurement, error) {
+	for p := programIndex(prog.Name); !g.admits(p); {
 		select {
 		case <-ctx.Done():
 			return scamv.Measurement{}, ctx.Err()
@@ -102,4 +86,37 @@ func (g *releaseGate) Execute(ctx context.Context, e *scamv.Experiment, prog *ar
 		}
 	}
 	return scamv.SimPlatform{}.Execute(ctx, e, prog, st, train, noise)
+}
+
+// admits reports whether program p is below the admit file's count. A
+// missing or half-written file admits nothing yet.
+func (g *admitGate) admits(p int) bool {
+	b, err := os.ReadFile(g.path)
+	if err != nil {
+		return false
+	}
+	n, err := strconv.Atoi(strings.TrimSpace(string(b)))
+	return err == nil && p < n
+}
+
+// programIndex parses the campaign index a template puts at the end of a
+// program's name ("stride-12").
+func programIndex(name string) int {
+	n, err := strconv.Atoi(name[strings.LastIndex(name, "-")+1:])
+	if err != nil {
+		panic(fmt.Sprintf("program name %q carries no index", name))
+	}
+	return n
+}
+
+// admit sets the number of programs the crash child in campaign directory
+// cdir may execute.
+func admit(t *testing.T, cdir string, n int) {
+	t.Helper()
+	if err := os.MkdirAll(cdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cdir, admitFile), []byte(strconv.Itoa(n)), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -55,7 +55,6 @@ func TestObservatory(t *testing.T) {
 		"# TYPE scamv_solver_queries_total counter",
 		"# TYPE scamv_query_duration_seconds histogram",
 		"# TYPE scamv_stage_duration_seconds histogram",
-		"# TYPE scamv_stage_stall_seconds_total counter",
 		"# TYPE scamv_flight_events_total counter",
 		"scamv_query_duration_seconds_bucket{le=\"+Inf\"}",
 		"scamv_stage_busy_seconds_total{stage=\"testgen\"}",
@@ -71,9 +70,9 @@ func TestObservatory(t *testing.T) {
 	// The live document, with real campaign aggregates in it.
 	var doc struct {
 		Experiments int64 `json:"experiments"`
-		Pipeline    []struct {
+		Stages      []struct {
 			Name string `json:"name"`
-		} `json:"pipeline"`
+		} `json:"stages"`
 	}
 	if err := json.Unmarshal([]byte(httpGet(t, base+"/debug/scamv")), &doc); err != nil {
 		t.Fatalf("/debug/scamv is not JSON: %v", err)
@@ -81,8 +80,8 @@ func TestObservatory(t *testing.T) {
 	if doc.Experiments != int64(res.Experiments) {
 		t.Errorf("/debug/scamv experiments = %d, want %d", doc.Experiments, res.Experiments)
 	}
-	if len(doc.Pipeline) == 0 {
-		t.Error("/debug/scamv has no live pipeline stages (staged engine source not registered?)")
+	if len(doc.Stages) == 0 {
+		t.Error("/debug/scamv has no per-stage span aggregates")
 	}
 
 	// Force one anomaly capture through the debug endpoint and check the

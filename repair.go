@@ -65,8 +65,8 @@ func RepairModel(base Experiment, maxK int) (*RepairReport, error) {
 }
 
 // RepairModelContext is RepairModel under a context. Each validation round
-// is a full staged-engine campaign (RunContext), so cancellation propagates
-// through every pipeline stage of the round in flight.
+// is a full campaign (RunContext), so cancellation propagates to every
+// program of the round in flight.
 func RepairModelContext(ctx context.Context, base Experiment, maxK int) (*RepairReport, error) {
 	if maxK <= 0 {
 		maxK = 8

@@ -7,9 +7,8 @@ import (
 )
 
 // FormatTable renders campaign results side by side in the layout of the
-// paper's Table 1: one column per campaign, one row per metric — followed,
-// for results produced by the staged engine, by one stage-metrics block per
-// campaign (the Result.Stages spine).
+// paper's Table 1: one column per campaign, one row per metric — followed by
+// one platform-matrix block per matrix campaign.
 func FormatTable(results ...*Result) string {
 	// Resilience rows appear only when some result has nonzero counters:
 	// a healthy FailFast campaign renders byte-identically to the
@@ -98,69 +97,6 @@ func FormatTable(results ...*Result) string {
 			sb.WriteString("\n")
 			sb.WriteString(FormatMatrix(r))
 		}
-	}
-	for _, r := range results {
-		if len(r.Stages) > 0 {
-			sb.WriteString("\n")
-			sb.WriteString(FormatStages(r))
-		}
-	}
-	return sb.String()
-}
-
-// FormatStages renders one campaign's per-stage metrics: items in/out,
-// worker counts, busy time (and its share of the campaign's total busy
-// time), input-starvation wait, and output backpressure stall. The hot
-// stage — the one to shard or cache next — is the one with high busy share
-// whose downstream neighbors show high wait.
-func FormatStages(r *Result) string {
-	if len(r.Stages) == 0 {
-		return ""
-	}
-	var totalBusy time.Duration
-	for _, s := range r.Stages {
-		totalBusy += s.Busy
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "stages[%s]:\n", r.Name)
-	rows := [][]string{{"stage", "workers", "in", "out", "skip", "busy", "busy%", "wait", "stall"}}
-	for _, s := range r.Stages {
-		// A zero-duration campaign (all stages instantaneous, or metrics
-		// disabled) has no meaningful shares; render "-" instead of
-		// dividing by zero.
-		share := "-"
-		if totalBusy > 0 {
-			share = fmt.Sprintf("%.0f%%", float64(s.Busy)*100/float64(totalBusy))
-		}
-		rows = append(rows, []string{
-			s.Name,
-			fmt.Sprintf("%d", s.Workers),
-			fmt.Sprintf("%d", s.In),
-			fmt.Sprintf("%d", s.Out),
-			fmt.Sprintf("%d", s.Skipped),
-			fmtDur(s.Busy),
-			share,
-			fmtDur(s.Wait),
-			fmtDur(s.Stall),
-		})
-	}
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for _, row := range rows {
-		sb.WriteString(" ")
-		for i, cell := range row {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], cell)
-		}
-		sb.WriteString("\n")
 	}
 	return sb.String()
 }

@@ -7,7 +7,6 @@ import (
 
 	"scamv/internal/gen"
 	"scamv/internal/micro"
-	"scamv/internal/stage"
 )
 
 func TestFmtDur(t *testing.T) {
@@ -108,39 +107,5 @@ func TestRepairReportString(t *testing.T) {
 	rep.Validated = false
 	if !strings.Contains(rep.String(), "repair failed") {
 		t.Error("failed repair must say so")
-	}
-}
-
-func TestFormatStagesEdgeCases(t *testing.T) {
-	// Empty stage spine (a Result that never ran the engine): no block at all.
-	if got := FormatStages(&Result{Name: "empty"}); got != "" {
-		t.Errorf("FormatStages with no stages = %q, want empty", got)
-	}
-
-	// Zero-duration campaign: busy shares have a zero denominator and must
-	// render as "-" instead of dividing by zero.
-	r := &Result{Name: "zero", Stages: []stage.Snapshot{
-		{Name: "proggen", Workers: 1},
-		{Name: "execute", Workers: 2},
-	}}
-	out := FormatStages(r)
-	if !strings.Contains(out, "busy%") {
-		t.Errorf("missing busy%% column:\n%s", out)
-	}
-	if !strings.Contains(out, "-") {
-		t.Errorf("zero-duration campaign should render '-' shares:\n%s", out)
-	}
-	if strings.Contains(out, "NaN") || strings.Contains(out, "%!") {
-		t.Errorf("bad formatting in zero-duration output:\n%s", out)
-	}
-
-	// Normal case: shares sum to ~100 and reflect the busy split.
-	r = &Result{Name: "hot", Stages: []stage.Snapshot{
-		{Name: "testgen", Workers: 2, In: 4, Out: 4, Busy: 3 * time.Second},
-		{Name: "execute", Workers: 2, In: 4, Out: 4, Busy: 1 * time.Second},
-	}}
-	out = FormatStages(r)
-	if !strings.Contains(out, "75%") || !strings.Contains(out, "25%") {
-		t.Errorf("busy shares wrong:\n%s", out)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"scamv/internal/logdb"
 	"scamv/internal/micro"
 	"scamv/internal/obs"
-	"scamv/internal/stage"
 	"scamv/internal/symexec"
 	"scamv/internal/telemetry"
 )
@@ -120,7 +119,7 @@ type Experiment struct {
 	Log *logdb.DB
 
 	// Trace, when non-nil, is the campaign telemetry spine: it receives a
-	// span per program per pipeline stage (proggen, encode, lift, symexec,
+	// span per program per step of the flow (proggen, encode, lift, symexec,
 	// testgen, execute), a query event per solver query with its effort
 	// deltas, and a verdict event per executed test case — feeding the
 	// -trace JSONL writer, the live -progress line, and the -debug-addr
@@ -142,7 +141,7 @@ type Experiment struct {
 	// counts exactly as a single-platform campaign's would. See matrix.go.
 	Platforms []PlatformSpec
 
-	// rows holds the experiments the Execute stage batches every test case
+	// rows holds the experiments executeProgram batches every test case
 	// over, row 0 the primary: the campaign experiment itself for a
 	// single-platform campaign, the per-platform clones (the campaign
 	// experiment with Micro swapped) for a matrix. Built by RunContext via
@@ -178,15 +177,15 @@ type Experiment struct {
 	Journal *journal.Campaign
 
 	// Drain, when non-nil, is the graceful-shutdown seam: closing the
-	// channel stops the engines from starting new programs while everything
+	// channel stops the campaign from starting new programs while everything
 	// in flight completes and merges (and journals, when armed). The
 	// campaign then returns a partial Result with Drained set — resumable,
 	// not failed. Distinct from context cancellation, which aborts in-flight
 	// work. ArmShutdown wires SIGINT/SIGTERM to a drain channel.
 	Drain <-chan struct{}
 
-	// restoredN is the length of the journal-restored prefix: the engines
-	// process programs [restoredN, Programs) and fast-forward every
+	// restoredN is the length of the journal-restored prefix: runPool
+	// processes programs [restoredN, Programs) and fast-forwards every
 	// sequential seed stream across the skipped prefix. Set by RunContext.
 	restoredN int
 
@@ -280,12 +279,6 @@ type Result struct {
 	// Both are -1 when Found is false.
 	FirstCEProgram int
 	FirstCETest    int
-
-	// Stages is the staged engine's metrics spine: one snapshot per
-	// pipeline stage (items in/out, busy time, queue-wait and backpressure
-	// time), in pipeline order. It tells future optimization work which
-	// stage to shard or cache next.
-	Stages []stage.Snapshot
 
 	// Resilience accounting (all zero on a healthy platform). SkippedTests
 	// counts test cases abandoned under FailPolicy Degrade (including the
@@ -577,7 +570,7 @@ func (pl *Pipeline) ExecuteTestCase(e *Experiment, tc *core.TestCase, train *cor
 }
 
 // programResult is one program's contribution to the campaign Result,
-// produced by the Execute stage and merged in program order by Collect. It
+// produced by executeProgram and merged in program order by runPool. It
 // is also what the campaign journal stores for the program, so a resumed
 // campaign merges restored programs through the same step.
 type programResult struct {
@@ -645,7 +638,7 @@ func encodeRoundTrip(prog *arm.Program) (_ *arm.Program, fallback bool) {
 	return prog, false
 }
 
-// genOut is the TestGen stage's product for one program: the generated test
+// genOut is generateTests' product for one program: the generated test
 // cases with their per-test generation times and the solver query count.
 type genOut struct {
 	tests   []*core.TestCase
@@ -654,10 +647,9 @@ type genOut struct {
 	queries int
 }
 
-// generateTests is the TestGen stage body: it drives the refinement-guided
-// generator for program p until TestsPerProgram cases exist or the relation
-// is exhausted. Generation never depends on execution results, which is
-// what lets the staged engine overlap it with the Execute stage.
+// generateTests drives the refinement-guided generator for program p until
+// TestsPerProgram cases exist or the relation is exhausted. Generation never
+// depends on execution results.
 func generateTests(ctx context.Context, e *Experiment, pl *Pipeline, p int) genOut {
 	var out genOut
 	spanStart := time.Now()
@@ -697,14 +689,13 @@ func (ts *trainingStates) get(path int) *core.State {
 	return st
 }
 
-// executeProgram is the Execute stage body: it runs every generated test
-// case of program p on the platform and classifies the verdicts. Each test
-// case is a batch over the campaign's rows (Experiment.rows): the primary
-// row first, then every other platform of a matrix back to back, with the
-// same training state and noise seed (both platform-independent by
-// construction, which is what keeps a matrix row comparable to the
-// equivalent single-platform campaign). A single-platform campaign is the
-// one-row case.
+// executeProgram runs every generated test case of program p on the
+// platform and classifies the verdicts. Each test case is a batch over the
+// campaign's rows (Experiment.rows): the primary row first, then every other
+// platform of a matrix back to back, with the same training state and noise
+// seed (both platform-independent by construction, which is what keeps a
+// matrix row comparable to the equivalent single-platform campaign). A
+// single-platform campaign is the one-row case.
 //
 // Under FailPolicy Degrade a test whose retry budget is exhausted on the
 // primary row becomes a skip record instead of a campaign abort, skips the
@@ -877,12 +868,11 @@ func Run(cfg Experiment) (*Result, error) {
 }
 
 // RunContext executes a full experiment campaign under a context: cancelling
-// ctx tears the pipeline down promptly and returns the context's error.
+// ctx stops the campaign promptly and returns the context's error.
 //
-// The campaign runs on the staged engine (runStaged): explicit pipeline
-// stages connected by bounded channels, each with its own worker pool, so
-// test generation for program p+1 overlaps platform execution of program p,
-// with per-stage metrics in Result.Stages.
+// The campaign runs on an ordered pool of Parallel programs in flight
+// (runPool), so test generation for one program overlaps platform execution
+// of another while results merge in program order.
 func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 	e := cfg.WithDefaults()
 	res := &Result{
@@ -933,7 +923,7 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 			e.Trace.Resume(e.Name, e.restoredN)
 		}
 	}
-	if err := runStaged(ctx, &e, res, time.Now()); err != nil {
+	if err := runPool(ctx, &e, res, time.Now()); err != nil {
 		return nil, err
 	}
 	if e.Drain != nil && e.drainRequested() && res.Programs < e.Programs {

@@ -64,45 +64,6 @@ func TestStagedParallelGoldenMLine(t *testing.T) {
 	}
 }
 
-// TestStagesPopulated checks the metrics spine: every pipeline stage
-// appears in order, item counts balance, and FormatTable renders the block.
-func TestStagesPopulated(t *testing.T) {
-	_, refined := MCtExperiments(gen.TemplateA{}, 4, 6, 11)
-	refined.Parallel = 3
-	r, err := Run(refined)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"proggen", "encode", "prepare", "testgen", "execute", "collect"}
-	if len(r.Stages) != len(want) {
-		t.Fatalf("stages: %+v", r.Stages)
-	}
-	for i, name := range want {
-		s := r.Stages[i]
-		if s.Name != name {
-			t.Fatalf("stage %d = %q, want %q", i, s.Name, name)
-		}
-		if s.Out != int64(r.Programs) {
-			t.Errorf("stage %s emitted %d items, want %d", name, s.Out, r.Programs)
-		}
-		if s.Skipped != 0 || s.Failed != 0 {
-			t.Errorf("stage %s: unexpected skips/failures: %+v", name, s)
-		}
-	}
-	// The heavy stages must account for real work.
-	for _, i := range []int{3, 4} {
-		if r.Stages[i].Busy <= 0 {
-			t.Errorf("stage %s reports no busy time", r.Stages[i].Name)
-		}
-	}
-	out := FormatTable(r)
-	for _, wantStr := range []string{"stages[", "proggen", "testgen", "execute", "busy", "wait", "First c.e."} {
-		if !strings.Contains(out, wantStr) {
-			t.Errorf("FormatTable missing %q:\n%s", wantStr, out)
-		}
-	}
-}
-
 // TestRunContextCancelled: a cancelled context aborts the campaign with the
 // context's error instead of a partial result.
 func TestRunContextCancelled(t *testing.T) {

@@ -72,19 +72,18 @@ func runTraced(t *testing.T, parallel int) (*Result, []telemetry.Record, telemet
 // stages, the query distribution and effort counters, verdicts, resilience
 // and crash-safety counts, platforms, and TotalPrograms. Programs and
 // ElapsedUS are excluded because program completions and the wall clock have
-// no trace record; Pipeline is the staged engine's live source, not an
-// aggregate of records.
+// no trace record.
 func assertReplayMatchesLive(t *testing.T, recs []telemetry.Record, live telemetry.Counters) {
 	t.Helper()
 	replay := telemetry.Replay(recs)
 	replay.Programs = 0
-	live.ElapsedUS, live.Programs, live.Pipeline = 0, 0, nil
+	live.ElapsedUS, live.Programs = 0, 0
 	if !reflect.DeepEqual(replay, live) {
 		t.Errorf("replayed trace diverges from the live counters:\nreplay %+v\nlive   %+v", replay, live)
 	}
 }
 
-// TestTraceMatchesResult checks that the JSONL trace of a staged campaign
+// TestTraceMatchesResult checks that the JSONL trace of a campaign
 // agrees record-for-record with the campaign Result: one span per program
 // per stage, one query event per solver query, one verdict per experiment.
 func TestTraceMatchesResult(t *testing.T) {
