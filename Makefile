@@ -52,11 +52,9 @@ matrix-smoke:
 	$(GO) test -race -count=1 -run 'TestDiffProgramMatrix' ./internal/oracle
 
 # Observatory smoke: the telemetry and analysis packages under the race
-# detector (Prometheus renderer, debug endpoint, flight recorder, trace
-# diff), plus the root end-to-end smoke — a tiny campaign on
-# -debug-addr=:0 whose /metrics is scraped and format-checked, whose
-# /debug/scamv document is read, and one forced anomaly capture's bundle
-# verified on disk.
+# detector (Prometheus renderer, debug endpoint, trace diff), plus the
+# root end-to-end smoke — a tiny campaign on -debug-addr=:0 whose /metrics
+# is scraped and format-checked and whose /debug/scamv document is read.
 obs-smoke:
 	$(GO) test -race -count=1 ./internal/telemetry ./internal/analysis
 	$(GO) test -race -count=1 -run 'TestObservatory' .

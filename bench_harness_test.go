@@ -88,11 +88,10 @@ func benchTrace(t *testing.T) ([]Experiment, func([]*Result)) {
 // benchObservatory is the trace plus the whole observability plane under
 // the worst realistic scrape pressure: the debug server, a /metrics scraper
 // and a /debug/scamv poller both at 50ms (20x a normal Prometheus
-// interval), and an armed flight recorder.
+// interval).
 func benchObservatory(t *testing.T) ([]Experiment, func([]*Result)) {
 	e := benchCampaign()
 	stopTrace := attachTrace(t, &e)
-	fr := e.Trace.StartFlightRecorder(telemetry.FlightConfig{Dir: filepath.Join(t.TempDir(), "flights")})
 	srv, addr, err := telemetry.ServeDebug("127.0.0.1:0", e.Trace)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,6 @@ func benchObservatory(t *testing.T) ([]Experiment, func([]*Result)) {
 		cancel()
 		wg.Wait()
 		srv.Close()
-		fr.Stop()
 		stopTrace()
 		for i, path := range paths {
 			if scrapes[i].Load() == 0 {
@@ -396,7 +394,7 @@ func TestWriteBench(t *testing.T) {
 		Comparisons []benchComparison `json:"comparisons"`
 	}{
 		Date:       time.Now().UTC().Format("2006-01-02"),
-		Campaign:   "MLine-support, TemplateA^3 (8 paths), refined MCt/SpecAll, 8 programs x 40 tests, seed 2021, parallel 4; observatory = trace + debug server + 50ms /metrics scraper + 50ms /debug/scamv poller + flight recorder; journaled = fsync-per-program WAL; matrix = a53/a72/m0 in one campaign, sequential = the three as single-platform campaigns",
+		Campaign:   "MLine-support, TemplateA^3 (8 paths), refined MCt/SpecAll, 8 programs x 40 tests, seed 2021, parallel 4; observatory = trace + debug server + 50ms /metrics scraper + 50ms /debug/scamv poller; journaled = fsync-per-program WAL; matrix = a53/a72/m0 in one campaign, sequential = the three as single-platform campaigns",
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),

@@ -22,13 +22,13 @@ import (
 // prefix generated under another would produce a Result no uninterrupted run
 // could — silently.
 //
-// Deliberately excluded: Parallel, ExecTimeout, and RetryBackoff
-// are count-invariant (scheduling and wall-clock only), so a campaign may
-// legitimately resume with different values — e.g. fewer workers on a smaller
-// machine. Template, Platform, and AttackerView are code, not data, and
-// cannot be fingerprinted; swapping them between runs is the caller's
-// responsibility to avoid (cmd/scamv derives all three from fingerprinted
-// fields, so its campaigns are fully covered).
+// Deliberately excluded: Parallel and ExecTimeout are count-invariant
+// (scheduling and wall-clock only), so a campaign may legitimately resume
+// with different values — e.g. fewer workers on a smaller machine.
+// Template, Platform, and AttackerView are code, not data, and cannot be
+// fingerprinted; swapping them between runs is the caller's responsibility
+// to avoid (cmd/scamv derives all three from fingerprinted fields, so its
+// campaigns are fully covered).
 type fingerprintConfig struct {
 	Name            string  `json:"name"`
 	Seed            int64   `json:"seed"`

@@ -14,8 +14,6 @@
 //	                               # align two traces: latency deltas, solver
 //	                               # effort regressions, verdict drift
 //	scamv -debug-addr :6060        # /metrics, /debug/scamv, pprof
-//	scamv -flight-dir flights      # anomaly flight recorder: ring + goroutine
-//	                               # dump bundles on slow queries
 //	scamv -chaos heavy -fail-policy degrade -retries 2 -exec-timeout 100ms
 //	                               # fault-injected campaign that degrades
 //	                               # instead of aborting
@@ -78,8 +76,6 @@ func run() int {
 		chaos     = flag.String("chaos", "off", "fault-injection profile: off, light, or heavy (deterministic per -seed)")
 		matrix    = flag.Bool("matrix", false, "run each campaign as a platform matrix over -platforms (default a53,a72,m0)")
 		platNames = flag.String("platforms", "", "comma-separated platform presets for the matrix (implies -matrix); see -platforms=help")
-		flightDir = flag.String("flight-dir", "", "arm the anomaly flight recorder; bundles (ring + counters + goroutine dump) land under this directory")
-		flightCPU = flag.Duration("flight-cpu", 0, "include a CPU profile slice of this duration in each flight bundle (0 = off)")
 		ckptDir   = flag.String("checkpoint", "", "write a durable campaign journal, fsynced once per program, under this directory (one subdirectory per campaign)")
 		resumeDir = flag.String("resume", "", "resume campaigns from the journals in this directory, skipping journaled programs (implies -checkpoint DIR)")
 	)
@@ -151,8 +147,7 @@ func run() int {
 	}
 
 	// The tracer exists when any telemetry consumer is on: -trace feeds it
-	// a file; -progress, -debug-addr, and -flight-dir run it in
-	// aggregates-only mode.
+	// a file; -progress and -debug-addr run it in aggregates-only mode.
 	var tr *telemetry.Tracer
 	if *trace != "" {
 		var err error
@@ -160,7 +155,7 @@ func run() int {
 		if err != nil {
 			fatal(err)
 		}
-	} else if *progress || *debugAddr != "" || *flightDir != "" {
+	} else if *progress || *debugAddr != "" {
 		tr = telemetry.New(nil)
 	}
 	if tr.Enabled() {
@@ -170,22 +165,13 @@ func run() int {
 			}
 		}()
 	}
-	if *flightDir != "" {
-		fr := tr.StartFlightRecorder(telemetry.FlightConfig{
-			Dir:        *flightDir,
-			CPUProfile: *flightCPU,
-		})
-		defer fr.Stop()
-	}
 	if *debugAddr != "" {
 		srv, addr, err := telemetry.ServeDebug(*debugAddr, tr)
 		if err != nil {
 			fatal(err)
 		}
 		defer srv.Close()
-		// Report the actually-bound address (meaningful with :0) and expose
-		// it to the campaign results via the tracer.
-		tr.SetDebugAddr(addr.String())
+		// Report the actually-bound address (meaningful with :0).
 		fmt.Fprintf(os.Stderr, "scamv: debug endpoint on http://%s/debug/scamv (metrics: /metrics)\n", addr)
 	}
 	if *progress {

@@ -30,6 +30,7 @@ import (
 	"scamv/internal/core"
 	"scamv/internal/journal"
 	"scamv/internal/logdb"
+	"scamv/internal/telemetry"
 )
 
 // resumeGolden strips a Result to the fields the resume-equivalence contract
@@ -471,6 +472,7 @@ func testCrashSIGKILLChaos(t *testing.T) {
 		}
 		t.Logf("attempt %d: killed with %d of %d programs journaled", n, n, crashCampaign().Programs)
 	}
+	tracedResumeAfterKills(t, dir, kills)
 	// Last attempt runs to completion.
 	admit(t, cdir, crashCampaign().Programs)
 	cmd := crashChildCmd(dir, false)
@@ -497,6 +499,76 @@ func testCrashSIGKILLChaos(t *testing.T) {
 	if got := resumeGoldenOf(r); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-chaos Result differs from uninterrupted run:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// tracedResumeAfterKills resumes a copy of the killed campaign's directory
+// in-process with a trace: the trace must announce exactly the journaled
+// prefix as resumed, generate only the programs above it, and replay to
+// the live counters.
+func tracedResumeAfterKills(t *testing.T, dir string, journaled int) {
+	t.Helper()
+	e := crashCampaign()
+	src := filepath.Join(dir, journal.Sanitize(e.Name))
+	root := t.TempDir()
+	dst := filepath.Join(root, journal.Sanitize(e.Name))
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		b, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, ent.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	j, err := journal.Open(root, e.Name, journal.Options{Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tr := telemetry.New(&buf)
+	e.Journal = j
+	e.Trace = tr
+	mustRun(t, e)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := telemetry.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var resumes []telemetry.Record
+	generated := make(map[int]int)
+	for _, r := range recs {
+		switch {
+		case r.Kind == "resume":
+			resumes = append(resumes, r)
+		case r.Kind == "span" && r.Stage == "proggen":
+			generated[r.Prog]++
+		}
+	}
+	if len(resumes) != 1 || resumes[0].Programs != journaled {
+		t.Errorf("traced resume: resume records %+v, want one with Programs = %d", resumes, journaled)
+	}
+	want := make(map[int]int)
+	for p := journaled; p < e.Programs; p++ {
+		want[p] = 1
+	}
+	if !reflect.DeepEqual(generated, want) {
+		t.Errorf("traced resume: proggen spans per program %v, want one each for programs %d..%d only", generated, journaled, e.Programs-1)
+	}
+	scamv.AssertReplayMatchesLive(t, recs, tr.Snapshot())
 }
 
 // startGatedChild starts a crash child behind its admitGate, returning the

@@ -356,11 +356,14 @@ func (c *Campaign) Restored() []json.RawMessage {
 // Dir returns the campaign's journal directory.
 func (c *Campaign) Dir() string { return c.dir }
 
-// writeDurable appends raw bytes to the journal and fsyncs them. Caller
-// holds c.mu.
+// writeDurable appends raw bytes to the journal and fsyncs them; after
+// Close it returns an error naming the closed journal. Caller holds c.mu.
 func (c *Campaign) writeDurable(b []byte) error {
 	if c.werr != nil {
 		return c.werr
+	}
+	if c.f == nil {
+		return fmt.Errorf("journal: %s is closed", filepath.Join(c.dir, journalFile))
 	}
 	if _, err := c.f.Write(b); err != nil {
 		c.werr = fmt.Errorf("journal: %w", err)

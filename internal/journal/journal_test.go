@@ -188,6 +188,40 @@ func TestJournalFingerprintMismatch(t *testing.T) {
 	r.Close()
 }
 
+// TestWriteAfterCloseIsError pins that a closed journal refuses Append and
+// Begin with an error naming the journal instead of writing through the
+// closed file.
+func TestWriteAfterCloseIsError(t *testing.T) {
+	dir := t.TempDir()
+	call := func(what string, f func() error) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s after Close panicked: %v", what, r)
+			}
+		}()
+		if err := f(); err == nil || !strings.Contains(err.Error(), "closed") {
+			t.Errorf("%s after Close = %v, want an error naming the journal closed", what, err)
+		}
+	}
+
+	c := mustOpen(t, dir, Options{})
+	if err := c.Begin("camp/one", "fp"); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, c, 0, 2)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	call("Append", func() error { return c.Append(2, rec(2)) })
+
+	fresh := mustOpen(t, dir, Options{})
+	if err := fresh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	call("Begin", func() error { return fresh.Begin("camp/one", "fp") })
+}
+
 func TestJournalMidFileCorruptionIsHardError(t *testing.T) {
 	dir := t.TempDir()
 	c := mustOpen(t, dir, Options{})

@@ -28,8 +28,8 @@ func MetricsHandler(t *Tracer) http.Handler {
 }
 
 // family is one /metrics family read from rows of type T: the Counters
-// snapshot, a platform, a stage, or the flight recorder's status. Values of
-// families named *_seconds* are held in microseconds and rendered in seconds.
+// snapshot, a platform or a stage. Values of families named *_seconds* are
+// held in microseconds and rendered in seconds.
 type family[T any] struct {
 	name, typ, help string
 	get             func(*T) int64
@@ -67,13 +67,6 @@ var platformFamilies = []family[PlatformCount]{
 // exists whenever spans were traced.
 var stageFamilies = []family[StageCount]{
 	{"scamv_stage_busy_seconds_total", "counter", "Work time inside each pipeline stage, summed over workers.", func(s *StageCount) int64 { return s.BusyUS }},
-}
-
-var flightFamilies = []family[FlightStatus]{
-	{"scamv_flight_events_total", "counter", "Trace records seen by the flight-recorder ring.", func(f *FlightStatus) int64 { return f.Events }},
-	{"scamv_flight_dropped_total", "counter", "Ring records overwritten by newer ones.", func(f *FlightStatus) int64 { return f.Dropped }},
-	{"scamv_flight_captures_total", "counter", "Anomaly bundles captured.", func(f *FlightStatus) int64 { return f.Captures }},
-	{"scamv_flight_max_query_seconds", "gauge", "Slowest solver query observed (watermark).", func(f *FlightStatus) int64 { return f.MaxQueryUS }},
 }
 
 // writeFamilies renders each family with one sample per row, labelled
@@ -119,11 +112,6 @@ func (t *Tracer) WriteMetrics(w io.Writer) {
 					[][2]string{{"stage", a.name}}, &a.hist)
 			}
 		}
-	}
-
-	// Flight-recorder watermarks, when one is attached.
-	if fr := t.FlightRecorder(); fr != nil {
-		writeFamilies(m, flightFamilies, []FlightStatus{fr.Status()}, "", nil)
 	}
 }
 

@@ -20,10 +20,8 @@ import (
 // when the producing type changes in lockstep with its own tests.
 
 // surfaceTracer is a tracer with every optional section populated: stages,
-// platforms, the live pipeline, an attached flight recorder writing bundles
-// under dir, and a non-zero resumed count.
-func surfaceTracer(t *testing.T, dir string) *Tracer {
-	t.Helper()
+// platforms and a non-zero resumed count.
+func surfaceTracer() *Tracer {
 	tr := New(nil)
 	tr.BeginCampaign("surface", 3)
 	tr.Resume("surface", 1)
@@ -36,8 +34,6 @@ func surfaceTracer(t *testing.T, dir string) *Tracer {
 	tr.Skip(1, 1, "retries exhausted")
 	tr.Quarantine(2, "failures")
 	tr.ProgramDone()
-	fr := tr.StartFlightRecorder(FlightConfig{RingSize: 16, Dir: dir})
-	t.Cleanup(fr.Stop)
 	return tr
 }
 
@@ -77,8 +73,6 @@ func keyPaths(v any) []string {
 var wireKeys = []string{
 	"ack_reads", "blast_hits", "blast_misses",
 	"conflicts", "counterexamples", "decisions", "elapsed_us", "experiments",
-	"flight", "flight.captures", "flight.dropped", "flight.events",
-	"flight.max_query_us", "flight.ring_size",
 	"inconclusive",
 	"platforms", "platforms[].counterexamples", "platforms[].experiments",
 	"platforms[].inconclusive", "platforms[].name",
@@ -103,8 +97,7 @@ func assertKeys(t *testing.T, what string, doc []byte, want []string) {
 }
 
 func TestWireDocumentKeys(t *testing.T) {
-	dir := t.TempDir()
-	tr := surfaceTracer(t, dir)
+	tr := surfaceTracer()
 	srv := httptest.NewServer(DebugMux(tr))
 	defer srv.Close()
 
@@ -119,30 +112,10 @@ func TestWireDocumentKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertKeys(t, "/debug/scamv", body.Bytes(), wireKeys)
-
-	bundle, err := tr.FlightRecorder().ForceCapture("surface")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := os.ReadFile(filepath.Join(bundle, "counters.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bundleKeys []string
-	for _, k := range wireKeys {
-		if k != "flight" && !strings.HasPrefix(k, "flight.") {
-			bundleKeys = append(bundleKeys, "counters."+k)
-		}
-	}
-	bundleKeys = append(bundleKeys, "captured_at", "counters", "flight", "flight.captures",
-		"flight.dropped", "flight.events", "flight.max_query_us",
-		"flight.ring_size", "reason")
-	sort.Strings(bundleKeys)
-	assertKeys(t, "counters.json", doc, bundleKeys)
 }
 
 func TestMetricsFamiliesGolden(t *testing.T) {
-	tr := surfaceTracer(t, t.TempDir())
+	tr := surfaceTracer()
 	var buf bytes.Buffer
 	tr.WriteMetrics(&buf)
 	var got strings.Builder

@@ -179,35 +179,6 @@ type Tracer struct {
 	stagesMu sync.RWMutex
 	stages   map[string]*stageAgg
 	order    []*stageAgg // first-seen order
-
-	// Observability plane (no schema impact): the optional flight recorder
-	// ring and the actually-bound debug address of -debug-addr.
-	fr atomic.Pointer[FlightRecorder]
-
-	addrMu    sync.Mutex
-	debugAddr string
-}
-
-// SetDebugAddr records the actually-bound address of the -debug-addr
-// endpoint (meaningful with ":0", where the kernel picks the port), so
-// tests and scripts can scrape ephemeral ports via Tracer or Result.
-func (t *Tracer) SetDebugAddr(addr string) {
-	if t == nil {
-		return
-	}
-	t.addrMu.Lock()
-	t.debugAddr = addr
-	t.addrMu.Unlock()
-}
-
-// DebugAddr returns the bound debug-endpoint address ("" when none serves).
-func (t *Tracer) DebugAddr() string {
-	if t == nil {
-		return ""
-	}
-	t.addrMu.Lock()
-	defer t.addrMu.Unlock()
-	return t.debugAddr
 }
 
 // New returns a tracer writing JSONL records to w. A nil w yields an
@@ -243,16 +214,12 @@ func (t *Tracer) Enabled() bool { return t != nil }
 func (t *Tracer) now() int64 { return time.Since(t.start).Microseconds() }
 
 // record folds one record into the live aggregates, stamps the schema
-// version on it, feeds it to the flight recorder's ring (when one is
-// attached), and appends it to the trace file (when one is open). Every
-// event method funnels through here, so the aggregates, the ring and the
-// trace see exactly the same records.
+// version on it, and appends it to the trace file (when one is open). Every
+// event method funnels through here, so the aggregates and the trace see
+// exactly the same records.
 func (t *Tracer) record(rec *Record) {
 	t.observe(rec)
 	rec.V = SchemaVersion
-	if fr := t.fr.Load(); fr != nil {
-		fr.add(rec)
-	}
 	t.write(rec)
 }
 
@@ -398,9 +365,6 @@ func (t *Tracer) Query(ev QueryEvent) {
 		Conflicts: ev.Conflicts, Decisions: ev.Decisions, Propagations: ev.Propagations,
 		BlastHits: ev.BlastHits, BlastMisses: ev.BlastMisses, AckReads: ev.AckReads,
 	})
-	if fr := t.fr.Load(); fr != nil {
-		fr.noteQuery(ev.Dur, &t.queryHist)
-	}
 }
 
 // Verdict records one executed test case's classification and execution time.
@@ -498,9 +462,9 @@ type StageCount struct {
 }
 
 // Counters is a point-in-time copy of the tracer's aggregates: the one
-// definition behind the progress line, /metrics, and the /debug/scamv and
-// flight-bundle JSON documents, whose keys are its JSON tags. Durations
-// are integer microseconds, the resolution every histogram buckets at.
+// definition behind the progress line, /metrics, and the /debug/scamv JSON
+// document, whose keys are its JSON tags. Durations are integer
+// microseconds, the resolution every histogram buckets at.
 type Counters struct {
 	ElapsedUS int64 `json:"elapsed_us"`
 

@@ -13,22 +13,16 @@ import (
 )
 
 // TestObservatory is the end-to-end smoke of the campaign observatory: a
-// tiny campaign with the aggregates-only tracer, a debug endpoint on an
-// ephemeral port, and an armed flight recorder — then scrape /metrics,
-// read the /debug/scamv document, and force an anomaly capture.
-// This is what `make obs-smoke` runs.
+// tiny campaign with the aggregates-only tracer and a debug endpoint on an
+// ephemeral port (at the address ServeDebug returns) — then scrape /metrics
+// and read the /debug/scamv document. This is what `make obs-smoke` runs.
 func TestObservatory(t *testing.T) {
 	tr := telemetry.New(nil)
-	flightDir := filepath.Join(t.TempDir(), "flights")
-	fr := tr.StartFlightRecorder(telemetry.FlightConfig{Dir: flightDir})
-	defer fr.Stop()
-
 	srv, addr, err := telemetry.ServeDebug("127.0.0.1:0", tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tr.SetDebugAddr(addr.String())
 	base := "http://" + addr.String()
 
 	e := mlineCampaign()
@@ -43,10 +37,6 @@ func TestObservatory(t *testing.T) {
 	if res.Experiments == 0 {
 		t.Fatal("smoke campaign ran no experiments")
 	}
-	// -debug-addr=:0 support: the bound address flows into the result.
-	if res.DebugAddr != addr.String() {
-		t.Errorf("Result.DebugAddr = %q, want %q", res.DebugAddr, addr.String())
-	}
 
 	// /metrics: the families the campaign must have populated.
 	body := httpGet(t, base+"/metrics")
@@ -55,7 +45,6 @@ func TestObservatory(t *testing.T) {
 		"# TYPE scamv_solver_queries_total counter",
 		"# TYPE scamv_query_duration_seconds histogram",
 		"# TYPE scamv_stage_duration_seconds histogram",
-		"# TYPE scamv_flight_events_total counter",
 		"scamv_query_duration_seconds_bucket{le=\"+Inf\"}",
 		"scamv_stage_busy_seconds_total{stage=\"testgen\"}",
 	} {
@@ -82,48 +71,6 @@ func TestObservatory(t *testing.T) {
 	}
 	if len(doc.Stages) == 0 {
 		t.Error("/debug/scamv has no per-stage span aggregates")
-	}
-
-	// Force one anomaly capture through the debug endpoint and check the
-	// bundle: ring snapshot in trace format plus a goroutine dump.
-	resp, err := http.Post(base+"/debug/scamv/flight?reason=smoke-test", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cap struct {
-		Bundle string `json:"bundle"`
-		Error  string `json:"error"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&cap)
-	resp.Body.Close()
-	if err != nil || cap.Error != "" || cap.Bundle == "" {
-		t.Fatalf("forced capture failed: %+v (err %v)", cap, err)
-	}
-	recs, err := telemetry.LoadTrace(filepath.Join(cap.Bundle, "ring.jsonl"))
-	if err != nil {
-		t.Fatalf("bundle ring does not load as a trace: %v", err)
-	}
-	if len(recs) == 0 {
-		t.Error("bundle ring is empty after a campaign")
-	}
-	dump, err := os.ReadFile(filepath.Join(cap.Bundle, "goroutines.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(dump), "goroutine") {
-		t.Error("bundle goroutine dump looks wrong")
-	}
-	if _, err := os.Stat(filepath.Join(cap.Bundle, "counters.json")); err != nil {
-		t.Error(err)
-	}
-
-	// Flight status reflects the capture.
-	var st telemetry.FlightStatus
-	if err := json.Unmarshal([]byte(httpGet(t, base+"/debug/scamv/flight")), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Captures == 0 || st.Events == 0 {
-		t.Errorf("flight status after capture = %+v", st)
 	}
 }
 

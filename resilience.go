@@ -73,10 +73,9 @@ type execStats struct {
 // independent, reproducible backoff schedule.
 func execPolicy(e *Experiment, p, t, rep, side int, nseed int64, stats *execStats) resilient.Policy {
 	return resilient.Policy{
-		Timeout:     e.ExecTimeout,
-		Retries:     e.Retries,
-		BackoffBase: e.RetryBackoff,
-		JitterSeed:  splitmix64(uint64(nseed) ^ uint64(side)<<32 ^ 0xbadc0de),
+		Timeout:    e.ExecTimeout,
+		Retries:    e.Retries,
+		JitterSeed: splitmix64(uint64(nseed) ^ uint64(side)<<32 ^ 0xbadc0de),
 		OnRetry: func(attempt int, err error) {
 			stats.retries++
 			e.Trace.Retry(p, t, attempt, err.Error())

@@ -158,9 +158,6 @@ type Experiment struct {
 	// Retries is the per-call retry budget for transient platform errors
 	// (0 = a single attempt, today's semantics).
 	Retries int
-	// RetryBackoff is the base delay before the first retry, doubling per
-	// retry with seeded jitter (0 = the resilient default of 1ms).
-	RetryBackoff time.Duration
 	// QuarantineAfter is the number of consecutive failed test cases after
 	// which a program is quarantined under Degrade (default 3).
 	QuarantineAfter int
@@ -307,11 +304,6 @@ type Result struct {
 	// (Experiment.Platforms), in platform order; empty for single-platform
 	// campaigns. Row 0 mirrors the top-level counts. See matrix.go.
 	Matrix []PlatformResult
-
-	// DebugAddr is the actually-bound address of the tracer's debug
-	// endpoint ("" when none serves). With -debug-addr=:0 the kernel picks
-	// the port; this is where scripts find it.
-	DebugAddr string
 }
 
 // AvgGen returns the mean generation time per experiment.
@@ -929,7 +921,6 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 	if e.Drain != nil && e.drainRequested() && res.Programs < e.Programs {
 		res.Drained = true
 	}
-	res.DebugAddr = e.Trace.DebugAddr()
 	return res, nil
 }
 
