@@ -104,8 +104,9 @@ bench:
 # Output identity against another revision, for changes that must not move
 # any result: builds BASE (git archive into a temporary directory) and the
 # working tree, runs -exp all -scale 0.06, -exp mct-a -matrix and -exp mpart
-# (both -programs 30 -tests 10) at seeds 1-4 with -log, drops the gen_us and
-# exe_us timings, sorts the records and fails on any difference. Per seed,
+# (both -programs 30 -tests 10) at seeds 1-4 with -log and -trace, drops the
+# timings (the log's gen_us and exe_us, the trace's ts_us and dur_us), sorts
+# the records of each file and fails on any difference. Per seed,
 # one journal probe more: each binary runs -exp mpart at 30 x 10 with
 # -checkpoint DIR, then -resume DIR -log -trace, which must restore every
 # program and generate none (its trace holds no "stage":"proggen" span, which
@@ -124,15 +125,18 @@ log-identity:
 	for seed in 1 2 3 4; do \
 	  for probe in "-exp all -scale 0.06" "-exp mct-a -matrix -programs 30 -tests 10" "-exp mpart -programs 30 -tests 10"; do \
 	    for side in base head; do \
-	      "$$tmp/scamv-$$side" $$probe -seed $$seed -log "$$tmp/$$side.jsonl" >/dev/null; \
-	      sed -E 's/"(gen_us|exe_us)":[^,}]*,?//g' "$$tmp/$$side.jsonl" | sort >"$$tmp/$$side.txt"; \
-	      rm "$$tmp/$$side.jsonl"; \
+	      "$$tmp/scamv-$$side" $$probe -seed $$seed -log "$$tmp/$$side.jsonl" -trace "$$tmp/$$side-trace.jsonl" >/dev/null; \
+	      sed -E 's/"(gen_us|exe_us)":[^,}]*,?//g' "$$tmp/$$side.jsonl" | sort >"$$tmp/$$side-log.txt"; \
+	      sed -E 's/,"(ts_us|dur_us)":[0-9]+//g' "$$tmp/$$side-trace.jsonl" | sort >"$$tmp/$$side-trace.txt"; \
+	      rm "$$tmp/$$side.jsonl" "$$tmp/$$side-trace.jsonl"; \
 	    done; \
-	    if cmp -s "$$tmp/base.txt" "$$tmp/head.txt"; then \
-	      echo "same: seed $$seed $$probe, $$(wc -l <"$$tmp/head.txt") records"; \
-	    else \
-	      echo "DIFFERS: seed $$seed $$probe"; diff "$$tmp/base.txt" "$$tmp/head.txt" | head -n 6; fail=1; \
-	    fi; \
+	    for kind in log trace; do \
+	      if cmp -s "$$tmp/base-$$kind.txt" "$$tmp/head-$$kind.txt"; then \
+	        echo "same: seed $$seed $$probe ($$kind), $$(wc -l <"$$tmp/head-$$kind.txt") records"; \
+	      else \
+	        echo "DIFFERS: seed $$seed $$probe ($$kind)"; diff "$$tmp/base-$$kind.txt" "$$tmp/head-$$kind.txt" | head -n 6; fail=1; \
+	      fi; \
+	    done; \
 	  done; \
 	  jprobe="-exp mpart -programs 30 -tests 10 -seed $$seed"; \
 	  rm -rf "$$tmp/j-base" "$$tmp/j-head"; \

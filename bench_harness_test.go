@@ -3,6 +3,7 @@ package scamv
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"scamv/internal/journal"
+	"scamv/internal/logdb"
 	"scamv/internal/telemetry"
 )
 
@@ -69,8 +71,8 @@ func attachTrace(t *testing.T, e *Experiment) func() {
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		recs, err := telemetry.LoadTrace(path)
-		if err != nil {
+		recs, torn, err := logdb.Load(path, telemetry.CheckRecord)
+		if err = errors.Join(err, torn); err != nil {
 			t.Fatal(err)
 		}
 		if len(recs) == 0 {

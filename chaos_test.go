@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -160,8 +159,8 @@ func TestChaosTraceReplaysLive(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := telemetry.ReadTrace(&buf)
-	if err != nil {
+	recs, torn, err := logdb.Read(&buf, telemetry.CheckRecord)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	live := tr.Snapshot()
@@ -294,11 +293,12 @@ func TestRunAbortsOnAppendFailure(t *testing.T) {
 		// The log buffers 4 KiB before its first write reaches the file, so
 		// the fault lands a few programs in.
 		{"log", func(t *testing.T, e *scamv.Experiment) {
-			f, err := os.Create(filepath.Join(t.TempDir(), "log.jsonl"))
+			fs := faultinject.NewFaultFS(nil, faultinject.FSPlan{FailWriteAt: 1})
+			f, err := fs.Create(filepath.Join(t.TempDir(), "log.jsonl"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.Log = logdb.NewWriter(faultinject.NewFaultWriter(f, faultinject.FSPlan{FailWriteAt: 1}))
+			e.Log = logdb.NewWriter(f)
 			t.Cleanup(func() { e.Log.Close() })
 		}},
 		// Write 1 is the journal header; write 4 appends the third program.

@@ -29,8 +29,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -136,14 +134,18 @@ func run() int {
 		return 0
 	}
 
-	var db *logdb.DB
+	var db *logdb.Writer
 	if *logPath != "" {
 		var err error
-		db, err = logdb.Open(*logPath)
+		db, err = logdb.Create(*logPath)
 		if err != nil {
 			fatal(err)
 		}
-		defer db.Close()
+		defer func() {
+			if err := db.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "scamv:", err)
+			}
+		}()
 	}
 
 	// The tracer exists when any telemetry consumer is on: -trace feeds it
@@ -374,7 +376,7 @@ func analyse(path string, strict bool) error {
 		return err
 	}
 	if trace {
-		recs, torn, err := telemetry.LoadTraceTolerant(path)
+		recs, torn, err := logdb.Load(path, telemetry.CheckRecord)
 		if err != nil {
 			return err
 		}
@@ -387,16 +389,16 @@ func analyse(path string, strict bool) error {
 	return analyseLog(path, strict)
 }
 
-// warnTorn reports torn trailing lines: a stderr warning normally, an error
-// under -strict.
-func warnTorn(path string, torn int, strict bool) error {
-	if torn == 0 {
+// warnTorn reports a torn trailing line (logdb.Load's torn): a stderr
+// warning normally, an error under -strict.
+func warnTorn(path string, torn error, strict bool) error {
+	if torn == nil {
 		return nil
 	}
 	if strict {
-		return fmt.Errorf("%s: %d torn trailing line(s) (rerun without -strict to drop them)", path, torn)
+		return fmt.Errorf("%s: 1 torn trailing line(s) (rerun without -strict to drop them)", path)
 	}
-	fmt.Fprintf(os.Stderr, "scamv: warning: %s: %d torn trailing line(s) dropped\n", path, torn)
+	fmt.Fprintf(os.Stderr, "scamv: warning: %s: 1 torn trailing line(s) dropped\n", path)
 	return nil
 }
 
@@ -409,7 +411,7 @@ func reportDiff(oldPath, newPath string, strict bool) error {
 		} else if !ok {
 			return nil, fmt.Errorf("%s: not a telemetry trace (-report-diff compares traces, not logs)", path)
 		}
-		recs, torn, err := telemetry.LoadTraceTolerant(path)
+		recs, torn, err := logdb.Load(path, telemetry.CheckRecord)
 		if err != nil {
 			return nil, err
 		}
@@ -431,36 +433,23 @@ func reportDiff(oldPath, newPath string, strict bool) error {
 	return nil
 }
 
-// isTraceFile sniffs the first non-empty line: telemetry records always
-// carry a "kind" field, logdb records never do.
+// isTraceFile sniffs the first record: telemetry records always carry a
+// "kind" field, logdb records never do. A file that is only a torn line
+// reads as a log, whose loader reports the tear.
 func isTraceFile(path string) (bool, error) {
-	f, err := os.Open(path)
+	probes, _, err := logdb.Load[struct {
+		Kind string `json:"kind"`
+	}](path, nil)
 	if err != nil {
 		return false, err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			// Leave malformed files to the stricter loader's diagnostics.
-			return false, nil
-		}
-		return probe.Kind != "", nil
-	}
-	return false, sc.Err()
+	return len(probes) > 0 && probes[0].Kind != "", nil
 }
 
 // analyseLog prints campaign aggregates and, for every unguided/refined pair
 // of the same campaign family, the paper's §A.6.1 checklist ratios.
 func analyseLog(path string, strict bool) error {
-	recs, torn, err := logdb.LoadTolerant(path)
+	recs, torn, err := logdb.Load[logdb.Record](path, nil)
 	if err != nil {
 		return err
 	}

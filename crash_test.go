@@ -12,6 +12,7 @@ package scamv_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -157,8 +158,8 @@ func mustRun(t *testing.T, e scamv.Experiment) *scamv.Result {
 // zeroed, so resumed and uninterrupted logs compare on content.
 func loadLogNormalized(t *testing.T, path string) []logdb.Record {
 	t.Helper()
-	recs, err := logdb.Load(path)
-	if err != nil {
+	recs, torn, err := logdb.Load[logdb.Record](path, nil)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatalf("load log %s: %v", path, err)
 	}
 	for i := range recs {
@@ -201,7 +202,7 @@ func testResumeEquivalence(t *testing.T, beforeResume func(t *testing.T, cdir st
 	// Uninterrupted reference, no journal.
 	ref := crashCampaign()
 	refLog := filepath.Join(dir, "ref.jsonl")
-	db, err := logdb.Open(refLog)
+	db, err := logdb.Create(refLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func testResumeEquivalence(t *testing.T, beforeResume func(t *testing.T, cdir st
 		t.Fatal(err)
 	}
 	resLog := filepath.Join(dir, "resumed.jsonl")
-	db2, err := logdb.Open(resLog)
+	db2, err := logdb.Create(resLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,8 +544,8 @@ func tracedResumeAfterKills(t *testing.T, dir string, journaled int) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := telemetry.ReadTrace(&buf)
-	if err != nil {
+	recs, torn, err := logdb.Read(&buf, telemetry.CheckRecord)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 

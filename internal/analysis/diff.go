@@ -64,7 +64,7 @@ type DiffReport struct {
 }
 
 // DiffTraces aligns two record sets. Records should come straight from
-// telemetry.LoadTrace / LoadTraceTolerant; order within each trace does not
+// logdb.Load with telemetry.CheckRecord; order within each trace does not
 // matter beyond first-seen stage order.
 func DiffTraces(oldRecs, newRecs []telemetry.Record) *DiffReport {
 	d := &DiffReport{

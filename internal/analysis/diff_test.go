@@ -1,11 +1,13 @@
 package analysis
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"scamv/internal/logdb"
 	"scamv/internal/telemetry"
 )
 
@@ -14,13 +16,13 @@ import (
 // p1/t1's verdict flipped from inconclusive to counterexample.
 func loadGoldenPair(t *testing.T) (oldRecs, newRecs []telemetry.Record) {
 	t.Helper()
-	var err error
-	oldRecs, err = telemetry.LoadTrace(filepath.Join("testdata", "diff_old.jsonl"))
-	if err != nil {
+	var torn, err error
+	oldRecs, torn, err = logdb.Load(filepath.Join("testdata", "diff_old.jsonl"), telemetry.CheckRecord)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
-	newRecs, err = telemetry.LoadTrace(filepath.Join("testdata", "diff_new.jsonl"))
-	if err != nil {
+	newRecs, torn, err = logdb.Load(filepath.Join("testdata", "diff_new.jsonl"), telemetry.CheckRecord)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	return oldRecs, newRecs

@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"scamv/internal/logdb"
 	"scamv/internal/telemetry"
 )
 
@@ -13,8 +15,8 @@ import (
 // resilience kinds, resume, and three retired kinds that readers ignore: v5
 // "breaker" records, a v5 "checkpoint" record and a v3 "shape" record.
 func TestTraceReportGolden(t *testing.T) {
-	recs, err := telemetry.LoadTrace(filepath.Join("testdata", "report_all.jsonl"))
-	if err != nil {
+	recs, torn, err := logdb.Load(filepath.Join("testdata", "report_all.jsonl"), telemetry.CheckRecord)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	kinds := make(map[string]bool)

@@ -3,10 +3,12 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"scamv/internal/logdb"
 	"scamv/internal/telemetry"
 )
 
@@ -110,8 +112,8 @@ func TestAnalyzeTrace(t *testing.T) {
 		}
 	}
 	buf.WriteString(`{"v":3,"kind":"shape","prog":0,"hit":true}` + "\n")
-	withShape, err := telemetry.ReadTrace(&buf)
-	if err != nil {
+	withShape, torn, err := logdb.Read(&buf, telemetry.CheckRecord)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	if len(withShape) != len(synthTrace())+1 {

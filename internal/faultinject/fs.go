@@ -2,7 +2,6 @@ package faultinject
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"syscall"
 
@@ -108,27 +107,3 @@ func (f *faultFile) Sync() error {
 
 // Close implements journal.File.
 func (f *faultFile) Close() error { return f.inner.Close() }
-
-// FaultWriter adapts one standalone faultFile-style writer around an
-// arbitrary file for logdb-level injection: logdb.NewWriter type-asserts
-// Syncer, so wrapping the *os.File in a FaultWriter routes both the data
-// path and the fsync path through the plan.
-type FaultWriter struct {
-	f *faultFile
-}
-
-// NewFaultWriter wraps an open file with a fresh single-file plan.
-func NewFaultWriter(inner journal.File, plan FSPlan) *FaultWriter {
-	return &FaultWriter{f: &faultFile{fs: NewFaultFS(nil, plan), inner: inner}}
-}
-
-// Write implements io.Writer.
-func (w *FaultWriter) Write(p []byte) (int, error) { return w.f.Write(p) }
-
-// Sync implements logdb.Syncer.
-func (w *FaultWriter) Sync() error { return w.f.Sync() }
-
-// Close implements io.Closer.
-func (w *FaultWriter) Close() error { return w.f.Close() }
-
-var _ io.Writer = (*FaultWriter)(nil)

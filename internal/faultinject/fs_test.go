@@ -104,28 +104,31 @@ func TestJournalFsyncFailureSurfaces(t *testing.T) {
 	}
 }
 
-// TestLogdbStickyWriteErrorUnderFault pins the logdb satellite fix: after a
-// failed flush, every subsequent Append/Commit surfaces the original error
-// instead of silently buffering records that can never be written — the
-// partial-line interleave hazard.
+// TestLogdbStickyWriteErrorUnderFault pins logdb's sticky write error: once
+// a buffer flush is cut short, every subsequent Append and Close surfaces the
+// original error instead of silently buffering records that can never be
+// written — the partial-line interleave hazard.
 func TestLogdbStickyWriteErrorUnderFault(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.jsonl")
-	f, err := os.Create(path)
+	f, err := NewFaultFS(nil, FSPlan{ShortWriteAt: 1}).Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := logdb.NewWriter(NewFaultWriter(f, FSPlan{ShortWriteAt: 1}))
-	if err := db.Append(logdb.Record{Experiment: "e", Verdict: "indistinguishable"}); err != nil {
-		t.Fatal(err)
+	db := logdb.NewWriter(f)
+	// Append until the 4 KiB buffer flushes: that first file write is cut
+	// short.
+	var appended int
+	for err = nil; err == nil; appended++ {
+		if appended > 1000 {
+			t.Fatal("the log never flushed its buffer")
+		}
+		err = db.Append(logdb.Record{Experiment: "e", Verdict: "indistinguishable"})
 	}
-	if err := db.Commit(); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("want ENOSPC from first commit, got %v", err)
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("want ENOSPC from the first flush, got %v", err)
 	}
 	if err := db.Append(logdb.Record{Experiment: "e2"}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append after failed flush must surface the sticky error, got %v", err)
-	}
-	if err := db.Err(); !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("Err() = %v, want sticky ENOSPC", err)
 	}
 	if err := db.Close(); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Close must propagate the sticky error, got %v", err)
@@ -135,7 +138,7 @@ func TestLogdbStickyWriteErrorUnderFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "e2") {
-		t.Fatalf("record appended after failed flush leaked to disk: %q", data)
+	if len(data) == 0 || strings.Contains(string(data), "e2") {
+		t.Fatalf("file after the short write: %q", data)
 	}
 }

@@ -1,7 +1,8 @@
-// Package logdb is a small JSON-lines experiment log, standing in for the
-// SQLite-based EmbExp-Logs database of the original Scam-V artifact: every
-// executed experiment appends one record, and whole runs can be reloaded
-// for offline analysis.
+// Package logdb is the JSON-lines layer: the experiment log, standing in for
+// the SQLite-based EmbExp-Logs database of the original Scam-V artifact
+// (every executed experiment appends one Record, and whole runs can be
+// reloaded for offline analysis), and the writer and torn-tail reader that
+// the telemetry trace shares with it.
 package logdb
 
 import (
@@ -18,7 +19,6 @@ import (
 type Record struct {
 	Experiment string `json:"experiment"`
 	Program    string `json:"program"`
-	Asm        string `json:"asm,omitempty"`
 	TestIndex  int    `json:"test_index"`
 	PathA      int    `json:"path_a"`
 	PathB      int    `json:"path_b"`
@@ -35,141 +35,102 @@ type Record struct {
 	Diff []string `json:"diff,omitempty"`
 }
 
-// Syncer is the optional durability hook of a DB's underlying writer: a
-// writer that also implements Syncer (an *os.File does) gains real fsync
-// through Commit. Plain writers (a bytes.Buffer in tests) degrade to
-// flush-only commits.
-type Syncer interface {
-	Sync() error
-}
-
-// DB appends records to an underlying writer, one JSON object per line.
+// Writer appends values to an underlying writer, one JSON object per line.
 // It is safe for concurrent use.
 //
 // Write errors are sticky: once any append or flush fails, every subsequent
-// Append/Commit returns the original error instead of silently continuing.
-// Without the latch, a failed flush could leave a partial line
-// in the file and a later successful append would splice its record onto
-// the torn tail — corrupting the line in a way the tolerant reader cannot
-// distinguish from a clean crash. With it, the file ends at the torn line,
-// which is exactly the shape ReadTolerant is specified to recover from.
-type DB struct {
+// Append returns the original error instead of silently continuing.
+// Without the latch, a failed flush could leave a partial line in the file
+// and a later successful append would splice its record onto the torn
+// tail — corrupting the line in a way the reader cannot distinguish from a
+// clean crash. With it, the file ends at the torn line, which is exactly
+// the shape Read is specified to recover from.
+type Writer struct {
 	mu     sync.Mutex
-	w      *bufio.Writer
-	sync   Syncer // non-nil when the underlying writer supports fsync
+	bw     *bufio.Writer
 	closer io.Closer
-	n      int
-	werr   error // first write error, sticky
+	name   string // named by the error of an Append after Close
+	closed bool
+	err    error // first write error, sticky
 }
 
-// NewWriter wraps an arbitrary writer (e.g. a bytes.Buffer in tests). A
-// writer implementing Syncer makes Commit durable.
-func NewWriter(w io.Writer) *DB {
-	d := &DB{w: bufio.NewWriter(w)}
-	if s, ok := w.(Syncer); ok {
-		d.sync = s
-	}
+// NewWriter wraps an arbitrary writer (e.g. a bytes.Buffer in tests). Close
+// also closes w when it is an io.Closer.
+func NewWriter(w io.Writer) *Writer {
+	out := &Writer{bw: bufio.NewWriter(w), name: "log"}
 	if c, ok := w.(io.Closer); ok {
-		d.closer = c
+		out.closer = c
 	}
-	return d
+	return out
 }
 
-// Open creates (or truncates) a log file.
-func Open(path string) (*DB, error) {
+// Create creates (or truncates) a file and returns a Writer appending to it.
+func Create(path string) (*Writer, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("logdb: %w", err)
 	}
-	return &DB{w: bufio.NewWriter(f), sync: f, closer: f}, nil
+	w := NewWriter(f)
+	w.name = path
+	return w, nil
 }
 
-// Append writes one record.
-func (d *DB) Append(r Record) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.werr != nil {
-		return d.werr
+// Append writes v as one line. Marshalling happens outside the lock. After
+// Close it returns an error naming the closed file.
+func (w *Writer) Append(v any) error {
+	b, merr := json.Marshal(v)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return w.err
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("logdb: %w", err)
+	if w.closed {
+		return fmt.Errorf("logdb: %s is closed", w.name)
 	}
-	if _, err := d.w.Write(b); err != nil {
-		d.werr = fmt.Errorf("logdb: %w", err)
-		return d.werr
+	if merr != nil {
+		w.err = fmt.Errorf("logdb: %w", merr)
+		return w.err
 	}
-	if err := d.w.WriteByte('\n'); err != nil {
-		d.werr = fmt.Errorf("logdb: %w", err)
-		return d.werr
+	if _, err := w.bw.Write(append(b, '\n')); err != nil {
+		w.err = fmt.Errorf("logdb: %w", err)
 	}
-	d.n++
-	return nil
+	return w.err
 }
 
-// Commit flushes buffered records to the underlying writer and, when it
-// supports Syncer, fsyncs them to stable storage. A commit failure latches
-// the sticky write error.
-func (d *DB) Commit() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.werr != nil {
-		return d.werr
+// Close flushes and closes the underlying writer, if it is an io.Closer.
+// The file is closed even when the flush fails, and both errors are
+// propagated along with any earlier sticky write error: a close error after
+// a clean flush can still mean the kernel failed to persist buffered
+// writes, so swallowing either would hide a truncated file.
+func (w *Writer) Close() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return w.err
 	}
-	if err := d.w.Flush(); err != nil {
-		d.werr = fmt.Errorf("logdb: flush: %w", err)
-		return d.werr
-	}
-	if d.sync != nil {
-		if err := d.sync.Sync(); err != nil {
-			d.werr = fmt.Errorf("logdb: sync: %w", err)
-			return d.werr
-		}
-	}
-	return nil
-}
-
-// Err returns the sticky write error, if any.
-func (d *DB) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.werr
-}
-
-// Len returns the number of appended records.
-func (d *DB) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.n
-}
-
-// Close flushes and closes the underlying file, if any. The file is closed
-// even when the flush fails, and both errors are propagated along with any
-// earlier sticky write error: a close error after a clean flush can still
-// mean the kernel failed to persist buffered writes, so swallowing either
-// would hide a truncated log.
-func (d *DB) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	w.closed = true
 	var ferr, cerr error
-	if d.werr == nil {
-		if err := d.w.Flush(); err != nil {
+	if w.err == nil {
+		if err := w.bw.Flush(); err != nil {
 			ferr = fmt.Errorf("logdb: flush: %w", err)
 		}
 	}
-	if d.closer != nil {
-		if err := d.closer.Close(); err != nil {
+	if w.closer != nil {
+		if err := w.closer.Close(); err != nil {
 			cerr = fmt.Errorf("logdb: close: %w", err)
 		}
 	}
-	return errors.Join(d.werr, ferr, cerr)
+	return errors.Join(w.err, ferr, cerr)
 }
 
-// read is the one log parser. A malformed line is held back as torn until
-// the input ends: if it was the last non-empty line it is a crash
-// mid-append and reported through torn; any later non-empty line makes it
-// corruption and a hard error.
-func read(r io.Reader) (recs []Record, torn, err error) {
+// Read decodes one T per non-empty line, running check (when non-nil) on
+// each. A malformed line is held back as torn until the input ends: if it
+// was the last non-empty line it is a crash mid-append, returned as torn
+// (an error naming the line) with every record before it; any later
+// non-empty line makes it corruption and a hard error. An error from check
+// is always a hard error. Callers choose strict or tolerant handling from
+// torn.
+func Read[T any](r io.Reader, check func(*T) error) (recs []T, torn, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -181,10 +142,15 @@ func read(r io.Reader) (recs []Record, torn, err error) {
 		if torn != nil {
 			return nil, nil, torn
 		}
-		var rec Record
+		var rec T
 		if uerr := json.Unmarshal(sc.Bytes(), &rec); uerr != nil {
 			torn = fmt.Errorf("logdb: line %d: %w", line, uerr)
 			continue
+		}
+		if check != nil {
+			if cerr := check(&rec); cerr != nil {
+				return nil, nil, fmt.Errorf("logdb: line %d: %w", line, cerr)
+			}
 		}
 		recs = append(recs, rec)
 	}
@@ -194,52 +160,12 @@ func read(r io.Reader) (recs []Record, torn, err error) {
 	return recs, torn, nil
 }
 
-func load(path string) (recs []Record, torn, err error) {
+// Load reads a file via Read.
+func Load[T any](path string, check func(*T) error) (recs []T, torn, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("logdb: %w", err)
+		return nil, nil, err // an *os.PathError names the path
 	}
 	defer f.Close()
-	return read(f)
+	return Read(f, check)
 }
-
-// strict refuses a torn final line with the error naming it.
-func strict(recs []Record, torn, err error) ([]Record, error) {
-	if err == nil {
-		err = torn
-	}
-	if err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// tolerant drops a torn final line and counts it.
-func tolerant(recs []Record, torn, err error) ([]Record, int, error) {
-	if err != nil {
-		return nil, 0, err
-	}
-	if torn != nil {
-		return recs, 1, nil
-	}
-	return recs, 0, nil
-}
-
-// Read decodes records from a reader. A malformed line, including a torn
-// final one, is an error naming the line.
-func Read(r io.Reader) ([]Record, error) { return strict(read(r)) }
-
-// Load reads all records from a log file via Read.
-func Load(path string) ([]Record, error) { return strict(load(path)) }
-
-// ReadTolerant decodes records like Read but tolerates a torn final line
-// (a crash or kill mid-append): the torn line is dropped and counted instead
-// of failing the whole load, so offline analysis can still see the rest of
-// the log while warning about the truncation. Malformed lines before the
-// final one remain hard errors — those mean corruption, not truncation.
-func ReadTolerant(r io.Reader) (recs []Record, torn int, err error) {
-	return tolerant(read(r))
-}
-
-// LoadTolerant reads a log file via ReadTolerant.
-func LoadTolerant(path string) ([]Record, int, error) { return tolerant(load(path)) }

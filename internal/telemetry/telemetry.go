@@ -6,7 +6,8 @@
 //   - a JSONL trace writer (scamv -trace run.jsonl) recording one line per
 //     pipeline span, per solver query (with SAT counter deltas, blast-cache
 //     hits/misses, and Ackermann expansion counts), and per experiment
-//     verdict — reloadable by ReadTrace for offline latency analysis;
+//     verdict — reloadable by logdb.Load with CheckRecord for offline
+//     latency analysis;
 //   - live aggregates (Snapshot, one Counters struct) feeding the periodic
 //     progress line on stderr, /metrics, and the /debug/scamv JSON
 //     document;
@@ -19,23 +20,21 @@
 //
 // A nil *Tracer is fully functional and free: every method starts with a
 // single pointer check, so the disabled pipeline pays one compare-and-branch
-// per instrumentation site and nothing else. The trace file format follows
-// the durability patterns of internal/logdb: buffered writes behind a mutex,
-// Close flushes and closes joining both errors, and the reader rejects a
-// torn final line by naming it.
+// per instrumentation site and nothing else. The trace is written and read
+// by internal/logdb, the one JSON-lines layer it shares with the experiment
+// log; telemetry adds only CheckRecord, its per-record check.
 package telemetry
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"scamv/internal/logdb"
 )
 
 // SchemaVersion is the trace schema version stamped on every record.
@@ -141,11 +140,7 @@ type stageAgg struct {
 // for concurrent use and safe on a nil receiver (the disabled fast path).
 type Tracer struct {
 	start time.Time
-
-	mu     sync.Mutex // guards w, closer, werr
-	w      *bufio.Writer
-	closer io.Closer
-	werr   error // first write error, sticky
+	out   *logdb.Writer // nil: aggregates only
 
 	// Live aggregates. Only observe changes them (ProgramDone aside: a
 	// program completion has no trace record).
@@ -188,10 +183,7 @@ type Tracer struct {
 func New(w io.Writer) *Tracer {
 	t := &Tracer{start: time.Now(), stages: make(map[string]*stageAgg)}
 	if w != nil {
-		t.w = bufio.NewWriter(w)
-		if c, ok := w.(io.Closer); ok {
-			t.closer = c
-		}
+		t.out = logdb.NewWriter(w)
 	}
 	return t
 }
@@ -199,11 +191,13 @@ func New(w io.Writer) *Tracer {
 // Create opens (or truncates) a trace file and returns a tracer writing
 // to it. Close flushes and closes the file.
 func Create(path string) (*Tracer, error) {
-	f, err := os.Create(path)
+	out, err := logdb.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
+		return nil, err
 	}
-	return New(f), nil
+	t := New(nil)
+	t.out = out
+	return t, nil
 }
 
 // Enabled reports whether the tracer records anything. It is the one
@@ -216,35 +210,13 @@ func (t *Tracer) now() int64 { return time.Since(t.start).Microseconds() }
 // record folds one record into the live aggregates, stamps the schema
 // version on it, and appends it to the trace file (when one is open). Every
 // event method funnels through here, so the aggregates and the trace see
-// exactly the same records.
+// exactly the same records. The writer keeps the first write error for
+// Close to report.
 func (t *Tracer) record(rec *Record) {
 	t.observe(rec)
 	rec.V = SchemaVersion
-	t.write(rec)
-}
-
-// write appends one record. Marshalling happens outside the lock; the first
-// write error is kept and reported by Err and Close.
-func (t *Tracer) write(rec *Record) {
-	if t.w == nil {
-		return
-	}
-	b, err := json.Marshal(rec)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.werr != nil {
-		return
-	}
-	if err != nil {
-		t.werr = fmt.Errorf("telemetry: %w", err)
-		return
-	}
-	if _, err := t.w.Write(b); err != nil {
-		t.werr = fmt.Errorf("telemetry: %w", err)
-		return
-	}
-	if err := t.w.WriteByte('\n'); err != nil {
-		t.werr = fmt.Errorf("telemetry: %w", err)
+	if t.out != nil {
+		t.out.Append(rec)
 	}
 }
 
@@ -565,137 +537,25 @@ func Replay(recs []Record) Counters {
 	return c
 }
 
-// Err returns the first write error, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.werr
-}
-
-// Close flushes the trace and closes the underlying file, if any. Like
-// logdb.Close, the file is closed even when the flush fails and both errors
-// are joined — either alone can mean a truncated trace.
+// Close flushes the trace and closes the underlying file, if any, joining
+// the flush and close errors with any earlier write error (logdb.Writer's
+// Close).
 func (t *Tracer) Close() error {
-	if t == nil {
+	if t == nil || t.out == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var ferr, cerr error
-	if t.w != nil {
-		if err := t.w.Flush(); err != nil {
-			ferr = fmt.Errorf("telemetry: flush: %w", err)
-		}
-	}
-	if t.closer != nil {
-		if err := t.closer.Close(); err != nil {
-			cerr = fmt.Errorf("telemetry: close: %w", err)
-		}
-		t.closer = nil
-	}
-	return errors.Join(t.werr, ferr, cerr)
+	return t.out.Close()
 }
 
-// readTrace is the one trace parser. A malformed line is held back as torn
-// until the input ends: if it was the last non-empty line it is a crash
-// mid-append and reported through torn; any later non-empty line makes it
-// corruption and a hard error. Kindless and newer-schema records are always
-// hard errors.
-func readTrace(r io.Reader) (recs []Record, torn, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		if torn != nil {
-			return nil, nil, torn
-		}
-		var rec Record
-		if uerr := json.Unmarshal(sc.Bytes(), &rec); uerr != nil {
-			torn = fmt.Errorf("telemetry: line %d: %w", line, uerr)
-			continue
-		}
-		if rec.V > SchemaVersion {
-			return nil, nil, fmt.Errorf("telemetry: line %d: trace schema v%d newer than supported v%d",
-				line, rec.V, SchemaVersion)
-		}
-		if rec.Kind == "" {
-			return nil, nil, fmt.Errorf("telemetry: line %d: record without kind", line)
-		}
-		recs = append(recs, rec)
+// CheckRecord is the trace's per-record check for logdb.Read and
+// logdb.Load: a record from a newer schema or without a kind is corruption,
+// a hard error even on the final line.
+func CheckRecord(rec *Record) error {
+	if rec.V > SchemaVersion {
+		return fmt.Errorf("trace schema v%d newer than supported v%d", rec.V, SchemaVersion)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("telemetry: %w", err)
+	if rec.Kind == "" {
+		return errors.New("record without kind")
 	}
-	return recs, torn, nil
-}
-
-func loadTrace(path string) (recs []Record, torn, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("telemetry: %w", err)
-	}
-	defer f.Close()
-	return readTrace(f)
-}
-
-// strict refuses a torn final line with the error naming it.
-func strict(recs []Record, torn, err error) ([]Record, error) {
-	if err == nil {
-		err = torn
-	}
-	if err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// tolerant drops a torn final line and counts it.
-func tolerant(recs []Record, torn, err error) ([]Record, int, error) {
-	if err != nil {
-		return nil, 0, err
-	}
-	if torn != nil {
-		return recs, 1, nil
-	}
-	return recs, 0, nil
-}
-
-// ReadTrace decodes trace records from a reader. Mirroring logdb.Read, a
-// torn final line (a crash mid-append) is rejected with an error naming the
-// line rather than silently dropped or misparsed; records from a newer
-// schema version are rejected too.
-func ReadTrace(r io.Reader) ([]Record, error) { return strict(readTrace(r)) }
-
-// ReadTraceTolerant decodes trace records like ReadTrace but tolerates a
-// torn final line (a crash or kill mid-append): instead of failing, the torn
-// line is dropped and counted, so -report can still analyse the rest of the
-// trace while warning the user. Malformed lines before the final one, kindless
-// records, and newer-schema records remain hard errors — those mean
-// corruption, not truncation.
-func ReadTraceTolerant(r io.Reader) (recs []Record, torn int, err error) {
-	return tolerant(readTrace(r))
-}
-
-// LoadTrace reads all records from a trace file via ReadTrace.
-func LoadTrace(path string) ([]Record, error) { return strict(loadTrace(path)) }
-
-// LoadTraceTolerant reads a trace file via ReadTraceTolerant.
-func LoadTraceTolerant(path string) ([]Record, int, error) { return tolerant(loadTrace(path)) }
-
-// SortRecords orders records by timestamp, then by kind for equal stamps —
-// a stable order for golden tests over concurrent campaigns.
-func SortRecords(recs []Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].TSus != recs[j].TSus {
-			return recs[i].TSus < recs[j].TSus
-		}
-		return recs[i].Kind < recs[j].Kind
-	})
+	return nil
 }

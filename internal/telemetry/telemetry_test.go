@@ -2,10 +2,13 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"scamv/internal/logdb"
 )
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -70,9 +73,6 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 	if c := tr.Snapshot(); c.Queries != 0 {
 		t.Error("nil snapshot not zero")
 	}
-	if err := tr.Err(); err != nil {
-		t.Error(err)
-	}
 	if err := tr.Close(); err != nil {
 		t.Error(err)
 	}
@@ -97,9 +97,9 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	recs, torn, err := logdb.Read(&buf, CheckRecord)
+	if err != nil || torn != nil {
+		t.Fatal(err, torn)
 	}
 	if len(recs) != 4 {
 		t.Fatalf("got %d records, want 4", len(recs))
@@ -139,8 +139,8 @@ func TestTraceRoundTrip(t *testing.T) {
 
 func TestReadTraceRejectsPartialFinalLine(t *testing.T) {
 	// Mirror of logdb's torn-line contract: a crash mid-append leaves a
-	// final line without its newline; the truncated JSON must be rejected
-	// with an error naming the line, not silently dropped or misparsed.
+	// final line without its newline; the truncated JSON must come back as
+	// torn, naming the line, not silently dropped or misparsed.
 	var buf bytes.Buffer
 	tr := New(&buf)
 	tr.Span("execute", 0, time.Now())
@@ -149,24 +149,31 @@ func TestReadTraceRejectsPartialFinalLine(t *testing.T) {
 	}
 	full := buf.String()
 	partial := full + `{"v":1,"kind":"query","status":"sa`
-	if _, err := ReadTrace(strings.NewReader(partial)); err == nil {
-		t.Fatal("partially-written final line must be rejected")
-	} else if !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("error should name the torn line: %v", err)
+	recs, torn, err := logdb.Read(strings.NewReader(partial), CheckRecord)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The intact prefix alone still reads back.
-	recs, err := ReadTrace(strings.NewReader(full))
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("intact trace: %v, %d records", err, len(recs))
+	if torn == nil {
+		t.Fatal("partially-written final line must be reported as torn")
+	} else if !strings.Contains(torn.Error(), "line 2") {
+		t.Errorf("torn error should name the torn line: %v", torn)
+	}
+	if len(recs) != 1 {
+		t.Errorf("records before the torn line: %d, want 1", len(recs))
+	}
+	// The intact prefix alone still reads back clean.
+	recs, torn, err = logdb.Read(strings.NewReader(full), CheckRecord)
+	if err != nil || torn != nil || len(recs) != 1 {
+		t.Fatalf("intact trace: %v, torn %v, %d records", err, torn, len(recs))
 	}
 }
 
 func TestReadTraceRejectsNewerSchemaAndKindless(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader(`{"v":99,"kind":"span"}`)); err == nil ||
+	if _, _, err := logdb.Read(strings.NewReader(`{"v":99,"kind":"span"}`), CheckRecord); err == nil ||
 		!strings.Contains(err.Error(), "v99") {
 		t.Errorf("newer schema must be rejected by version: %v", err)
 	}
-	if _, err := ReadTrace(strings.NewReader(`{"v":1,"ts_us":0}`)); err == nil ||
+	if _, _, err := logdb.Read(strings.NewReader(`{"v":1,"ts_us":0}`), CheckRecord); err == nil ||
 		!strings.Contains(err.Error(), "kind") {
 		t.Errorf("kindless record must be rejected: %v", err)
 	}
@@ -197,8 +204,8 @@ func TestTracerStickyWriteError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("write failure swallowed: %v", err)
 	}
-	if tr.Err() == nil {
-		t.Error("Err() should report the sticky write error")
+	if !errors.Is(err, errFull) {
+		t.Errorf("Close error %v does not wrap the sticky write error", err)
 	}
 }
 
@@ -221,9 +228,9 @@ func TestTracerConcurrent(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	recs, torn, err := logdb.Read(&buf, CheckRecord)
+	if err != nil || torn != nil {
+		t.Fatal(err, torn)
 	}
 	if len(recs) != 8*200*3 {
 		t.Fatalf("got %d records, want %d (interleaved writes tore lines?)", len(recs), 8*200*3)

@@ -178,23 +178,6 @@ func FormatMatrix(r *Result) string {
 			first,
 		})
 	}
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for _, row := range rows {
-		sb.WriteString(" ")
-		for i, cell := range row {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], cell)
-		}
-		sb.WriteString("\n")
-	}
+	writeAligned(&sb, " ", rows)
 	return sb.String()
 }

@@ -3,6 +3,7 @@ package scamv
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -104,8 +105,8 @@ func TestMatrixOnePlatformNoisyMatchesPlain(t *testing.T) {
 				if err := e.Log.Close(); err != nil {
 					t.Fatal(err)
 				}
-				recs, err := logdb.Read(&buf)
-				if err != nil {
+				recs, torn, err := logdb.Read[logdb.Record](&buf, nil)
+				if err = errors.Join(err, torn); err != nil {
 					t.Fatal(err)
 				}
 				return r, recs
@@ -262,8 +263,8 @@ func TestMatrixLogAndTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := logdb.Read(bytes.NewReader(logBuf.Bytes()))
-	if err != nil {
+	recs, torn, err := logdb.Read[logdb.Record](bytes.NewReader(logBuf.Bytes()), nil)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	perPlatform := map[string]int{}
@@ -280,8 +281,8 @@ func TestMatrixLogAndTelemetry(t *testing.T) {
 		}
 	}
 
-	trecs, err := telemetry.ReadTrace(bytes.NewReader(traceBuf.Bytes()))
-	if err != nil {
+	trecs, torn, err := logdb.Read(bytes.NewReader(traceBuf.Bytes()), telemetry.CheckRecord)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	platRecs := map[string]int{}

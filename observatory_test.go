@@ -2,6 +2,7 @@ package scamv
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"scamv/internal/logdb"
 	"scamv/internal/telemetry"
 )
 
@@ -92,8 +94,8 @@ func httpGet(t *testing.T, url string) string {
 }
 
 // TestObservatoryTornTrace covers the -report satellite at the library
-// level: a campaign trace with a torn final line still loads tolerantly
-// with the torn line counted.
+// level: a campaign trace with a torn final line still loads, with the torn
+// line returned as torn.
 func TestObservatoryTornTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	tr, err := telemetry.Create(path)
@@ -111,8 +113,8 @@ func TestObservatoryTornTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, err := telemetry.LoadTrace(path)
-	if err != nil {
+	full, torn, err := logdb.Load(path, telemetry.CheckRecord)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the final line mid-record, as a kill -9 during append would.
@@ -123,15 +125,12 @@ func TestObservatoryTornTrace(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-20], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := telemetry.LoadTrace(path); err == nil {
-		t.Fatal("strict loader accepted the torn trace")
-	}
-	recs, torn, err := telemetry.LoadTraceTolerant(path)
+	recs, torn, err := logdb.Load(path, telemetry.CheckRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if torn != 1 || len(recs) != len(full)-1 {
-		t.Errorf("tolerant load: %d records %d torn, want %d records 1 torn",
+	if torn == nil || len(recs) != len(full)-1 {
+		t.Errorf("torn load: %d records, torn %v; want %d records and a torn line",
 			len(recs), torn, len(full)-1)
 	}
 }

@@ -3,6 +3,7 @@ package scamv
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -85,8 +86,8 @@ func assertNoGoroutinesLeft(t *testing.T, before int) {
 // loggedPrograms returns the distinct program names of a log, in log order.
 func loggedPrograms(t *testing.T, log *bytes.Buffer) []string {
 	t.Helper()
-	recs, err := logdb.Read(log)
-	if err != nil {
+	recs, torn, err := logdb.Read[logdb.Record](log, nil)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	var names []string

@@ -19,7 +19,6 @@ func FormatTable(results ...*Result) string {
 			resilienceRows = true
 		}
 	}
-	cols := make([][]string, 0, len(results)+1)
 	head := []string{
 		"Model",
 		"Refinement",
@@ -42,7 +41,10 @@ func FormatTable(results ...*Result) string {
 			"- Timeouts",
 		)
 	}
-	cols = append(cols, head)
+	rows := make([][]string, len(head))
+	for k := range rows {
+		rows[k] = []string{head[k]}
+	}
 	for _, r := range results {
 		ttc, first := "-", "-"
 		if r.Found {
@@ -71,27 +73,12 @@ func FormatTable(results ...*Result) string {
 				fmt.Sprintf("%d", r.Timeouts),
 			)
 		}
-		cols = append(cols, col)
-	}
-	widths := make([]int, len(cols))
-	for i, col := range cols {
-		for _, cell := range col {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+		for k := range rows {
+			rows[k] = append(rows[k], col[k])
 		}
 	}
 	var sb strings.Builder
-	nrows := len(cols[0])
-	for row := 0; row < nrows; row++ {
-		for i, col := range cols {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], col[row])
-		}
-		sb.WriteString("\n")
-	}
+	writeAligned(&sb, "", rows)
 	for _, r := range results {
 		if len(r.Matrix) > 0 {
 			sb.WriteString("\n")
@@ -99,6 +86,29 @@ func FormatTable(results ...*Result) string {
 		}
 	}
 	return sb.String()
+}
+
+// writeAligned writes rows as left-aligned columns two spaces apart, each
+// line prefixed by indent. Widths count bytes while fmt pads by runes, so a
+// column whose widest cell holds a "µ" comes out a space wider; the goldens
+// pin that layout.
+func writeAligned(sb *strings.Builder, indent string, rows [][]string) {
+	widths := make([]int, len(rows[0]))
+	for _, row := range rows {
+		for i, cell := range row {
+			widths[i] = max(widths[i], len(cell))
+		}
+	}
+	for _, row := range rows {
+		sb.WriteString(indent)
+		for i, cell := range row {
+			if i > 0 {
+				sb.WriteString("  ")
+			}
+			fmt.Fprintf(sb, "%-*s", widths[i], cell)
+		}
+		sb.WriteString("\n")
+	}
 }
 
 // fmtDur renders a duration compactly with a sensible unit.

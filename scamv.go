@@ -116,7 +116,7 @@ type Experiment struct {
 	Repeats int
 
 	// Log, when non-nil, receives one record per executed experiment.
-	Log *logdb.DB
+	Log *logdb.Writer
 
 	// Trace, when non-nil, is the campaign telemetry spine: it receives a
 	// span per program per step of the flow (proggen, encode, lift, symexec,

@@ -3,6 +3,7 @@ package scamv
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -283,8 +284,8 @@ func TestRunWritesLog(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := logdb.Read(&buf)
-	if err != nil {
+	recs, torn, err := logdb.Read[logdb.Record](&buf, nil)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != res.Experiments {
@@ -504,12 +505,12 @@ func TestParallelLogOrderDeterministic(t *testing.T) {
 	}
 	run(&b1, 1)
 	run(&b2, 3)
-	r1, err := logdb.Read(&b1)
-	if err != nil {
+	r1, torn, err := logdb.Read[logdb.Record](&b1, nil)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := logdb.Read(&b2)
-	if err != nil {
+	r2, torn, err := logdb.Read[logdb.Record](&b2, nil)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	if len(r1) != len(r2) {

@@ -28,8 +28,8 @@ func runLogged(t *testing.T, e Experiment) (*Result, []logdb.Record) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := logdb.Read(&buf)
-	if err != nil {
+	recs, torn, err := logdb.Read[logdb.Record](&buf, nil)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	for i := range recs {

@@ -2,10 +2,12 @@ package scamv
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
 	"scamv/internal/gen"
+	"scamv/internal/logdb"
 	"scamv/internal/telemetry"
 )
 
@@ -60,8 +62,8 @@ func runTraced(t *testing.T, parallel int) (*Result, []telemetry.Record, telemet
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := telemetry.ReadTrace(&buf)
-	if err != nil {
+	recs, torn, err := logdb.Read(&buf, telemetry.CheckRecord)
+	if err = errors.Join(err, torn); err != nil {
 		t.Fatal(err)
 	}
 	return res, recs, tr.Snapshot()
